@@ -4,7 +4,8 @@ Subcommands: ``solve`` (route an instance to a solver and emit the
 orientation), ``verify`` (check an orientation file), ``oracle``
 (brute-force ground truth), ``generate`` (satisfiability-encoding
 instances), ``export-dot``. Exit codes: 0 feasible/ok, 1 infeasible,
-2 input error, 3 valid but unsupported configuration.
+2 input error, 3 valid but unsupported configuration, 4 internal error
+(a solver's own consistency check failed).
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ EXIT_OK = 0
 EXIT_INFEASIBLE = 1
 EXIT_INPUT = 2
 EXIT_UNSUPPORTED = 3
+EXIT_INTERNAL = 4
 
 _DECISION_SOLVERS = {
     "pco": solve_pco,
@@ -239,6 +241,9 @@ def main(argv: list[str] | None = None) -> int:
     except (UnsupportedError, OracleLimitError) as exc:
         print(f"unsupported: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
+    except RuntimeError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -375,29 +375,6 @@ def expand_orientation(con: Contraction, o: Orientation) -> Orientation:
     return Orientation(tuple(heads))
 
 
-def induced_subinstance(inst: Instance, comp: Component) -> tuple[Instance, dict[VertexId, VertexId], tuple[EdgeId, ...]]:
-    """Restrict an instance to one component, with vertex and edge id maps back.
-
-    Returns the restricted instance, old-to-new vertex map, and the tuple
-    of original edge ids in new-id order.
-    """
-    g = inst.graph
-    vmap = {v: i for i, v in enumerate(comp.vertices)}
-    edges = tuple((vmap[g.edges[e][0]], vmap[g.edges[e][1]]) for e in comp.edges)
-    emap = {orig: i for i, orig in enumerate(comp.edges)}
-    sub = Instance(
-        Multigraph(len(comp.vertices), edges),
-        {vmap[v]: p for v, p in inst.parity.items() if v in vmap},
-        tuple(
-            Conflict(vmap[c.vertex], frozenset(emap[e] for e in c.edges), c.kind)
-            for c in inst.conflicts
-            if c.vertex in vmap
-        ),
-        {emap[e]: vmap[h] for e, h in inst.forced.items() if e in emap},
-    )
-    return sub, vmap, comp.edges
-
-
 def require_valid(inst: Instance) -> None:
     """Raise InvalidInstanceError unless the instance validates cleanly."""
     errors = validate_instance(inst)

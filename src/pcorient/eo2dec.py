@@ -10,13 +10,34 @@ circuits, and orienting each one forward pins exactly one odd vertex
 per edge. The least possible number of odd vertices is therefore the
 number of uncovered nodes in a maximum matching.
 
-The parity-constrained driver reduces arbitrary parity maps to the
-all-even case with pendant and hub gadgets, then spends unavoidable odd
-vertices where they are cheapest: gadget leaves and unconstrained
-vertices cost nothing, sacrificed constraints cost one each. Conflicts
-never fire in a returned orientation. When a default assembly would
-complete one, the driver reroutes the matching around it and checks the
-original instance again until the verifier accepts.
+The parity-constrained solver matches a slot graph instead, built on
+the instance left after contracting forced edges. Its edge nodes are
+linked as above. Every vertex v adds a slot node linked to each edge at
+v; an edge matched to the slot is v's one unpaired incoming edge, so v
+ends with odd indegree exactly when its slot is matched to an edge.
+Each violated constraint then costs one exposed node: an odd-target
+slot is left exposed, and an even-target slot matched to an edge
+leaves exposed the private partner it is otherwise matched to. Free
+slots form a clique with one more node z, so an odd count of them that
+stay off the edges costs one exposed node, whichever it is.
+
+The nodes join in three rounds: first the edges and the odd-target and
+free slots, then the even-target slots with their partners, then z. At
+the start of a round the nodes still exposed from earlier rounds search
+for augmenting paths, then the new nodes are seeded greedily and search
+in turn, so every round ends with a maximum matching of the nodes that
+have joined, and a covered node stays covered. Edges are listed first
+so that they search before any slot. Even-target slots wait for the
+second round: edges still exposed then reach them before a partner is
+seeded onto its slot, and a slot joining before its partner would
+first take an edge only to hand it back later. Every edge node must end
+up covered, since it needs a head; an edge left exposed is raised as a
+bug. z goes last because of parity: without z, an odd number of free
+slots off the edges leaves one of them exposed; with z, an even number
+leaves z exposed. Matching without z first and adding z after keeps
+the lower of the two counts, so the exposed nodes that remain are
+exactly the violated constraints, at their fewest. Conflicts never fire: a matched
+pair points only into a witness, and a slot takes a single edge.
 """
 
 from __future__ import annotations
@@ -42,13 +63,7 @@ from .core import (
 from .errors import InvalidInstanceError, UnsupportedError
 from .matching import Matching, SimpleGraph, max_matching
 from .pco import PcoResult, solve_pco
-from .reductions import (
-    ReductionMap,
-    eo_dsc_to_eo_2dec,
-    pco_dec_to_eo_2dec,
-    pco_to_eo,
-    pull_back,
-)
+from .reductions import eo_dsc_to_eo_2dec, pco_dec_to_eo_2dec, pco_to_eo, pull_back
 
 __all__ = [
     "LpLink",
@@ -80,21 +95,10 @@ class LPrimeGraph:
     def _witness_map(self) -> dict[tuple[int, int], frozenset[int]]:
         return {(l.e1, l.e2): l.witnesses for l in self.links}
 
-    @cached_property
-    def _adjacency(self) -> tuple[tuple[int, ...], ...]:
-        nbr: list[list[int]] = [[] for _ in range(self.node_count)]
-        for l in self.links:
-            nbr[l.e1].append(l.e2)
-            nbr[l.e2].append(l.e1)
-        return tuple(tuple(sorted(ns)) for ns in nbr)
-
     def witnesses_of(self, a: int, b: int) -> frozenset[int]:
         """Shared endpoints at which a and b may both arrive; empty if unlinked."""
         key = (a, b) if a < b else (b, a)
         return self._witness_map.get(key, frozenset())
-
-    def neighbors(self, e: int) -> tuple[int, ...]:
-        return self._adjacency[e]
 
     def simple(self) -> SimpleGraph:
         return SimpleGraph(self.node_count, tuple((l.e1, l.e2) for l in self.links))
@@ -167,31 +171,27 @@ def _trace(g: Multigraph, at: dict[int, list[int]], used: set[int], start: int, 
     return _Run(tuple(edges), tuple(walk), closed=walk[0] == walk[-1])
 
 
-def _decompose_estar(
-    g: Multigraph, lp: LPrimeGraph, estar: Sequence[int], strict: bool = True
-) -> list[_Run]:
+def _decompose_estar(g: Multigraph, lp: LPrimeGraph, estar: Sequence[int]) -> list[_Run]:
     """Split the uncovered edges into paths and circuits, deterministically.
 
     Paths start at their smallest endpoint, circuits at their smallest
     vertex heading for the smaller-id neighbor (ties by edge id). With a
     maximum matching every vertex sees at most two uncovered edges, and
-    a vertex seeing two must host them as a conflict; both are asserted
+    a vertex seeing two must host them as a conflict; both are checked
     because a violation means the matching missed an augmenting link.
-    Callers juggling a deliberately non-maximum matching pass
-    strict=False and live with odd-degree crossings.
     """
     at: dict[int, list[int]] = defaultdict(list)
     for e in estar:
         u, v = g.edges[e]
         at[u].append(e)
         at[v].append(e)
-    if strict:
-        for v, es in at.items():
-            assert len(es) <= 2, f"three uncovered edges meet at vertex {v}; matching bug"
-            if len(es) == 2:
-                assert v not in lp.witnesses_of(es[0], es[1]), (
-                    f"uncovered edges {es[0]} and {es[1]} share witness {v}; matching bug"
-                )
+    for v, es in at.items():
+        if len(es) > 2:
+            raise RuntimeError(f"three uncovered edges meet at vertex {v}; matching bug")
+        if len(es) == 2 and v in lp.witnesses_of(es[0], es[1]):
+            raise RuntimeError(
+                f"uncovered edges {es[0]} and {es[1]} share witness {v}; matching bug"
+            )
 
     used: set[int] = set()
     runs: list[_Run] = []
@@ -210,26 +210,41 @@ def _decompose_estar(
 def matching_to_orientation(g: Multigraph, lp: LPrimeGraph, m: Matching) -> EoResult:
     """Matched pairs into their smallest witness, leftovers traversed forward.
 
-    Every uncovered edge contributes one odd vertex, and all these
-    heads are distinct, so t equals the number of uncovered nodes. The
-    result violates no conflict: a matched pair arrives only at a
-    witness, and an uncovered pair meeting at a conflict vertex never
+    Node e below g.edge_count is edge e. A matching of the pair route's
+    slot graph also covers slot nodes: node edge_count + v is vertex v's
+    slot, and an edge matched to it points into v. Any later node
+    carries no edge and is skipped.
+
+    Every slot-matched or uncovered edge contributes one odd vertex, and
+    all these heads are distinct, so t counts them. The result violates
+    no conflict: a matched pair arrives only at a witness, a slot takes
+    one edge, and an uncovered pair meeting at a conflict vertex never
     both point there because traversal gives them one head each.
     """
-    if len(m.mate) != g.edge_count:
+    ne = g.edge_count
+    if len(m.mate) < ne:
         raise InvalidInstanceError("matching is over a different node set")
-    heads = [-1] * g.edge_count
+    heads = [-1] * ne
+    odd: list[int] = []
     for a, b in m.pairs():
+        if a >= ne:
+            continue
+        if b >= ne:
+            if b - ne >= g.vertex_count or b - ne not in g.edges[a]:
+                raise InvalidInstanceError(f"edge {a} is matched to node {b}, not to a slot at its ends")
+            heads[a] = b - ne
+            odd.append(b - ne)
+            continue
         ws = lp.witnesses_of(a, b)
         if not ws:
             raise InvalidInstanceError(f"matched pair ({a}, {b}) is not a link")
         heads[a] = heads[b] = min(ws)
-    odd: list[int] = []
-    for run in _decompose_estar(g, lp, m.uncovered()):
+    for run in _decompose_estar(g, lp, [e for e in range(ne) if m.mate[e] == -1]):
         for e, h in zip(run.edges, run.walk[1:]):
             heads[e] = h
         odd.extend(run.walk[1:])
-    assert len(odd) == len(set(odd)), "uncovered-edge heads collide"
+    if len(odd) != len(set(odd)):
+        raise RuntimeError("uncovered-edge heads collide")
     return EoResult(Orientation(tuple(heads)), tuple(sorted(odd)))
 
 
@@ -248,306 +263,28 @@ def solve_eo_2dec(inst: Instance) -> EoResult:
     return matching_to_orientation(inst.graph, lp, max_matching(lp.simple()))
 
 
-class _PairEngine:
-    """Drives the matching route for one parity-constrained solve.
+def _slot_graph(inst: Instance, lp: LPrimeGraph) -> tuple[SimpleGraph, list[list[int]]]:
+    """The pair route's matching graph and the rounds it is matched in.
 
-    The even-orientation core neither sees the original parity map nor
-    the conflicts that contraction rewrote, so the driver keeps its own
-    books: it prices both directions of every uncovered path or circuit
-    against the original constraints, vetoes directions completing a
-    conflict, and when the assembled orientation still fires one,
-    perturbs the matching and reassembles. verify() on the original
-    instance referees every round.
+    Nodes 0..m-1 are the edges, linked as in lp, and node m+v is vertex
+    v's slot, linked to every edge at v. After the slots come the
+    even-target slots' private partners, then z, linked to every free
+    slot; the free slots also form a clique.
     """
-
-    def __init__(
-        self,
-        inst: Instance,
-        con: Contraction,
-        red: Instance,
-        rmap: ReductionMap,
-    ) -> None:
-        self.inst = inst
-        self.con = con
-        self.rmap = rmap
-        self.g2 = red.graph
-        self.n_orig = inst.graph.vertex_count
-        self.lp = build_lprime(self.g2, red.conflicts)
-        self.mate = list(max_matching(self.lp.simple()).mate)
-        self.override: dict[tuple[int, int], int] = {}
-
-        ci_of = {orig: i for i, orig in enumerate(con.edge_origin)}
-        self.img: list[int | None] = [
-            rmap.edge_map[ci_of[e]] if e in ci_of else None
-            for e in range(inst.graph.edge_count)
-        ]
-        self.orig_of = {r: e for e, r in enumerate(self.img) if r is not None}
-        self.ci_parity = con.instance.parity
-        # Odd-constrained vertices satisfy their target iff the vertex and its
-        # pendant leaf have equal indegree parity in the reduced graph.
-        self.leaf_of: dict[int, int] = {}
-        self.anchor_of: dict[int, int] = {}
-        for eid, tag in rmap.new_edges:
-            if tag == "parity-dummy-edge":
-                u, v = self.g2.edges[eid]
-                a, leaf = (u, v) if u < self.n_orig else (v, u)
-                self.leaf_of[a] = leaf
-                self.anchor_of[leaf] = a
-        self.confs_at: dict[int, list[Conflict]] = defaultdict(list)
-        for c in inst.conflicts:
-            self.confs_at[c.vertex].append(c)
-        self._improve_exposure()
-
-    def _vertex_cost(self, h: int) -> int:
-        """1 when an odd indegree parked at h must cost an original constraint."""
-        a = self.anchor_of.get(h, h)
-        if a >= self.n_orig:
-            return 0  # hub machinery parks odd vertices for free
-        return 0 if self.ci_parity.get(a) is None else 1
-
-    def _edge_cost(self, r: int) -> int:
-        u, v = self.g2.edges[r]
-        return min(self._vertex_cost(u), self._vertex_cost(v))
-
-    def _improve_exposure(self) -> None:
-        """Shift exposed nodes toward edges whose odd endpoint costs nothing.
-
-        Every maximum matching leaves the same number of nodes exposed,
-        but not the same nodes; an even-length alternating path moves an
-        exposure without losing cardinality. Plain breadth-first search
-        misses transfers that thread a blossom, which is tolerable: the
-        verifier rules on the final orientation either way.
-        """
-        improved = True
-        while improved:
-            improved = False
-            exposed = [r for r in range(len(self.mate))
-                       if self.mate[r] == -1 and self._edge_cost(r) > 0]
-            for r in exposed:
-                path = self._transfer_path(r)
-                if path is not None:
-                    for i in range(0, len(path) - 1, 2):
-                        a, b = path[i], path[i + 1]
-                        self.mate[a] = b
-                        self.mate[b] = a
-                    self.mate[path[-1]] = -1
-                    improved = True
-                    break
-
-    def _transfer_path(self, r: int) -> list[int] | None:
-        """Alternating path r, x1, mate[x1], x2, ... ending cost-free.
-
-        Flipping pairs it as (r,x1), (mate[x1],x2), ... and exposes the
-        last node instead of r.
-        """
-        prev: dict[int, tuple[int, int]] = {}
-        seen = {r}
-        queue = [r]
-        qi = 0
-        while qi < len(queue):
-            u = queue[qi]
-            qi += 1
-            for x in self.lp.neighbors(u):
-                w = self.mate[x]
-                if w in (-1, u) or w in seen:
-                    continue
-                seen.add(w)
-                prev[w] = (u, x)
-                if self._edge_cost(w) == 0:
-                    path = [w]
-                    node = w
-                    while node != r:
-                        u2, x2 = prev[node]
-                        path.extend((x2, u2))
-                        node = u2
-                    path.reverse()
-                    return path
-                queue.append(w)
-        return None
-
-    def run(self) -> Orientation:
-        seen: set[tuple] = set()
-        for _ in range(4 * self.g2.edge_count + 8):
-            state = (tuple(self.mate), tuple(sorted(self.override.items())))
-            if state in seen:
-                break
-            seen.add(state)
-            o = self._pull_to_original(self._assemble_reduced())
-            rep = verify(self.inst, o)
-            if not rep.conflict_violations:
-                return o
-            if not self._mutate(self.inst.conflicts[rep.conflict_violations[0]]):
-                break
-        raise RuntimeError("conflict rerouting did not converge; matching route bug")
-
-    def _assemble_reduced(self) -> list[int]:
-        heads2 = [-1] * self.g2.edge_count
-        for a, b in enumerate(self.mate):
-            if b > a:
-                ws = self.lp.witnesses_of(a, b)
-                assert ws, "matched nodes are not linked"
-                w = self.override.get((a, b), -1)
-                heads2[a] = heads2[b] = w if w in ws else min(ws)
-        estar = [e for e in range(self.g2.edge_count) if self.mate[e] == -1]
-        fixed_in = self._fixed_incoming(heads2)
-        for run in _decompose_estar(self.g2, self.lp, estar, strict=False):
-            self._apply_run(run, heads2, fixed_in)
-        return heads2
-
-    def _fixed_incoming(self, heads2: list[int]) -> dict[int, set[int]]:
-        """Original edges already arriving at each conflict vertex."""
-        fixed: dict[int, set[int]] = {v: set() for v in self.confs_at}
-        if fixed:
-            for e, h in self.con.forced_heads.items():
-                if h in fixed:
-                    fixed[h].add(e)
-            for r, e in self.orig_of.items():
-                h = heads2[r]
-                if h != -1 and h in fixed:
-                    fixed[h].add(e)
-        return fixed
-
-    def _apply_run(self, run: _Run, heads2: list[int], fixed_in: dict[int, set[int]]) -> None:
-        fwd = tuple(zip(run.edges, run.walk[1:]))
-        bwd = tuple(zip(run.edges, run.walk[:-1]))
-        options = (fwd, bwd)
-        scored = [
-            (self._fires(opt, fixed_in), self._penalty(opt)) for opt in options
-        ]
-        pick = min((0, 1), key=lambda i: (scored[i][0], scored[i][1], i))
-        for r, h in options[pick]:
-            heads2[r] = h
-            e = self.orig_of.get(r)
-            if e is not None and h in fixed_in:
-                fixed_in[h].add(e)
-
-    def _fires(self, heads_opt: tuple[tuple[int, int], ...], fixed_in: dict[int, set[int]]) -> bool:
-        add: dict[int, set[int]] = defaultdict(set)
-        for r, h in heads_opt:
-            e = self.orig_of.get(r)
-            if e is not None and h in fixed_in:
-                add[h].add(e)
-        for v, extra in add.items():
-            ins = fixed_in[v] | extra
-            if any(ins == c.edges for c in self.confs_at[v]):
-                return True
-        return False
-
-    def _penalty(self, heads_opt: tuple[tuple[int, int], ...]) -> int:
-        """Original parity constraints this direction leaves unmet."""
-        odd = {h for _, h in heads_opt}
-        pen = 0
-        handled: set[int] = set()
-        for v in sorted(odd):
-            a = self.anchor_of.get(v, v)
-            if a in handled or a >= self.n_orig:
-                continue
-            handled.add(a)
-            p = self.ci_parity.get(a)
-            if p is None:
-                continue  # unconstrained: an odd vertex here is free
-            if p == 1:
-                if ((a in odd) + (self.leaf_of[a] in odd)) % 2 == 1:
-                    pen += 1
-            else:
-                pen += 1
-        return pen
-
-    def _pull_to_original(self, heads2: list[int]) -> Orientation:
-        reduced = pull_back(Orientation(tuple(heads2)), self.rmap)
-        return expand_orientation(self.con, reduced)
-
-    def _mutate(self, conf: Conflict) -> bool:
-        """One deterministic matching perturbation unfiring the conflict.
-
-        Tried in order: steer a matched member to another witness; split
-        members matched to each other; re-pair a member's partner
-        elsewhere; let an uncovered member steal a matched neighbor;
-        finally break up a member's pair outright. Returns False when no
-        rule applies, which ends the rerouting loop.
-        """
-        v = conf.vertex
-        members = sorted(conf.edges)
-        imgs = [(e, self.img[e]) for e in members if self.img[e] is not None]
-
-        for _, r in imgs:
-            x = self.mate[r]
-            if x == -1:
-                continue
-            key = (r, x) if r < x else (x, r)
-            ws = sorted(self.lp.witnesses_of(*key))
-            cur = self.override.get(key)
-            cur = cur if cur in ws else ws[0]
-            alts = [w for w in ws if w != v]
-            if cur == v and alts:
-                self.override[key] = alts[0]
-                return True
-
-        pair_imgs = [self.img[e] for e in members]
-        if len(members) == 2 and None not in pair_imgs:
-            ra, rb = sorted(pair_imgs)  # type: ignore[type-var]
-            if self.mate[ra] == rb:
-                for r, s in ((ra, rb), (rb, ra)):
-                    for d in self.lp.neighbors(r):
-                        if d != s and self.mate[d] == -1:
-                            self.mate[r] = d
-                            self.mate[d] = r
-                            self.mate[s] = -1
-                            return True
-
-        for e, r in imgs:
-            x = self.mate[r]
-            partner = next((self.img[f] for f in members if f != e), None)
-            if x == -1 or x == partner:
-                continue
-            if partner is not None and self.mate[partner] == -1 and partner in self.lp.neighbors(x):
-                self.mate[r] = -1
-                self.mate[x] = partner
-                self.mate[partner] = x
-                return True
-            for d in self.lp.neighbors(x):
-                if d != r and self.mate[d] == -1:
-                    self.mate[r] = -1
-                    self.mate[x] = d
-                    self.mate[d] = x
-                    return True
-
-        for _, r in imgs:
-            if self.mate[r] != -1:
-                continue
-            best: tuple[tuple[int, int], int, int] | None = None
-            for d in self.lp.neighbors(r):
-                q = self.mate[d]
-                if q in (-1, r):
-                    continue
-                safe = d in self.orig_of or any(w != v for w in self.lp.witnesses_of(r, d))
-                rank = (0 if safe else 1, d)
-                if best is None or rank < best[0]:
-                    best = (rank, d, q)
-            if best is not None:
-                _, d, q = best
-                self.mate[r] = d
-                self.mate[d] = r
-                self.mate[q] = -1
-                if d not in self.orig_of:
-                    ws = [w for w in sorted(self.lp.witnesses_of(r, d)) if w != v]
-                    if ws:
-                        self.override[(r, d) if r < d else (d, r)] = ws[0]
-                return True
-
-        for _, r in imgs:
-            x = self.mate[r]
-            if x == -1:
-                continue
-            for d in self.lp.neighbors(r):
-                if d != x and self.mate[d] not in (-1, r):
-                    q = self.mate[d]
-                    self.mate[r] = d
-                    self.mate[d] = r
-                    self.mate[x] = -1
-                    self.mate[q] = -1
-                    return True
-        return False
+    g = inst.graph
+    m, n = g.edge_count, g.vertex_count
+    links = [(l.e1, l.e2) for l in lp.links]
+    links += [(e, m + v) for v in range(n) for e in g.incident(v)]
+    odd = [m + v for v in range(n) if inst.parity.get(v) == 1]
+    even = [m + v for v in range(n) if inst.parity.get(v) == 0]
+    free = [m + v for v in range(n) if v not in inst.parity]
+    partners = list(range(m + n, m + n + len(even)))
+    links += zip(even, partners)
+    z = m + n + len(even)
+    links += combinations(free, 2)
+    links += [(s, z) for s in free]
+    rounds = [list(range(m)) + odd + free, even + partners, [z]]
+    return SimpleGraph(z + 1, tuple(links)), rounds
 
 
 def solve_pco_2dec(inst: Instance) -> EoResult | None:
@@ -558,6 +295,9 @@ def solve_pco_2dec(inst: Instance) -> EoResult | None:
     vertices left violated, satisfied counts the rest, and the
     orientation fires no conflict. A forced edge that leaves a conflict
     pair half-decided is unsupported.
+
+    The contracted instance is solved by one matching in its slot graph
+    (see the module docstring), read off by matching_to_orientation.
     """
     for i, c in enumerate(inst.conflicts):
         if c.kind is not ConflictKind.EXACT or c.size != 2:
@@ -573,10 +313,17 @@ def solve_pco_2dec(inst: Instance) -> EoResult | None:
                 "a forced edge cut a conflict pair down to one edge; the remaining "
                 "single-edge exact constraint is not expressible on this route"
             )
-    red, rmap = pco_to_eo(con.instance, conflict_mode="exact")
-    o = _PairEngine(inst, con, red, rmap).run()
+    red = con.instance
+    lp = build_lprime(red.graph, red.conflicts)
+    sg, rounds = _slot_graph(red, lp)
+    matching = max_matching(sg, rounds)
+    if -1 in matching.mate[: red.graph.edge_count]:
+        raise RuntimeError("the slot matching left an edge uncovered; matching route bug")
+    er = matching_to_orientation(red.graph, lp, matching)
+    o = expand_orientation(con, er.orientation)
     rep = verify(inst, o)
-    assert not rep.conflict_violations, "engine returned a conflicted orientation"
+    if rep.conflict_violations:
+        raise RuntimeError("the pair route returned a conflicted orientation")
     return EoResult(o, rep.parity_violations, len(inst.parity) - len(rep.parity_violations))
 
 
@@ -623,7 +370,8 @@ def solve_pco_dec(inst: Instance) -> PcoResult:
     if er.t != 0:
         return PcoResult(False, None, 0)
     o = expand_orientation(con, pull_back(er.orientation, rmap))
-    assert verify(inst, o).ok, "reduction returned an invalid witness"
+    if not verify(inst, o).ok:
+        raise RuntimeError("reduction returned an invalid witness")
     return PcoResult(True, o, len(inst.parity))
 
 
@@ -648,5 +396,6 @@ def solve_pco_dsc(inst: Instance) -> PcoResult:
     if er.t != 0:
         return PcoResult(False, None, 0)
     o = expand_orientation(con, pull_back(pull_back(er.orientation, r2), r1))
-    assert verify(inst, o).ok, "reduction returned an invalid witness"
+    if not verify(inst, o).ok:
+        raise RuntimeError("reduction returned an invalid witness")
     return PcoResult(True, o, len(inst.parity))

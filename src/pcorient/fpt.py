@@ -115,10 +115,12 @@ def _branch(inst: Instance) -> PcoResult:
         return None
 
     res = rec(0, dict(inst.forced))
-    assert leaves <= limit, "branch enumeration exceeded its leaf bound"
+    if leaves > limit:
+        raise RuntimeError("branch enumeration exceeded its leaf bound")
     if res is None:
         return PcoResult(False, None, 0, branches=leaves)
-    assert res.orientation is not None and verify(inst, res.orientation).ok
+    if res.orientation is None or not verify(inst, res.orientation).ok:
+        raise RuntimeError("branching returned an invalid witness")
     return PcoResult(True, res.orientation, res.satisfied, branches=leaves)
 
 

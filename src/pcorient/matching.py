@@ -5,12 +5,17 @@ bipartite tricks do not apply; this is the classical Edmonds approach
 with contracted blossoms tracked through a base array. A greedy pass
 seeds the matching, then one alternating-tree search per remaining
 exposed node either augments or proves the node hopeless.
+
+Nodes may join in rounds. Covered nodes stay covered through every
+later augmentation, so the rounds decide which nodes a maximum matching
+covers when several choices have the same size.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from typing import Sequence
 
 
 @dataclass(frozen=True)
@@ -53,30 +58,57 @@ class Matching:
 
 
 class _Matcher:
-    def __init__(self, g: SimpleGraph) -> None:
+    def __init__(self, g: SimpleGraph, rounds: Sequence[Sequence[int]]) -> None:
         self.n = g.node_count
-        self.adj: list[list[int]] = [[] for _ in range(self.n)]
+        round_of = [-1] * self.n
+        for i, nodes in enumerate(rounds):
+            for v in nodes:
+                if round_of[v] != -1:
+                    raise ValueError(f"node {v} is in two rounds")
+                round_of[v] = i
+        if -1 in round_of:
+            raise ValueError(f"node {round_of.index(-1)} is in no round")
+        self.rounds = rounds
+        # A link joins in the round of its later endpoint.
+        self.joining: list[list[tuple[int, int]]] = [[] for _ in rounds]
         for u, v in g.links:
-            self.adj[u].append(v)
-            self.adj[v].append(u)
+            self.joining[max(round_of[u], round_of[v])].append((u, v))
+        self.adj: list[list[int]] = [[] for _ in range(self.n)]
         self.match = [-1] * self.n
         self.parent = [-1] * self.n
         self.base = list(range(self.n))
         self.in_queue = [False] * self.n
 
     def run(self) -> list[int]:
-        # Greedy seeding in node order; only shortens the augmentation
-        # phase, the final matching is still maximum.
-        for v in range(self.n):
-            if self.match[v] == -1:
-                for w in self.adj[v]:
-                    if self.match[w] == -1:
-                        self.match[v] = w
-                        self.match[w] = v
-                        break
-        for v in range(self.n):
-            if self.match[v] == -1:
-                self._find_path(v)
+        joined: list[int] = []
+        # Exposed nodes joined so far; a lone one has no other end for an
+        # augmenting path, so its search is skipped.
+        exposed = 0
+        for nodes, links in zip(self.rounds, self.joining):
+            for u, v in links:
+                self.adj[u].append(v)
+                self.adj[v].append(u)
+            exposed += len(nodes)
+            # Nodes of earlier rounds search before the new ones seed, so
+            # a new node cannot take what an old one could still reach.
+            # Without new links they stay as hopeless as they were.
+            for v in sorted(joined) if links else ():
+                if self.match[v] == -1 and exposed > 1 and self._find_path(v):
+                    exposed -= 2
+            # Greedy seeding in round order; only shortens the augmentation
+            # phase, the round still ends with a maximum matching.
+            for v in nodes:
+                if self.match[v] == -1:
+                    for w in self.adj[v]:
+                        if self.match[w] == -1:
+                            self.match[v] = w
+                            self.match[w] = v
+                            exposed -= 2
+                            break
+            for v in nodes:
+                if self.match[v] == -1 and exposed > 1 and self._find_path(v):
+                    exposed -= 2
+            joined.extend(nodes)
         return self.match
 
     def _lca(self, a: int, b: int) -> int:
@@ -143,6 +175,17 @@ class _Matcher:
             v = next_v
 
 
-def max_matching(g: SimpleGraph) -> Matching:
-    """Maximum-cardinality matching; deterministic for equal inputs."""
-    return Matching(tuple(_Matcher(g).run()))
+def max_matching(g: SimpleGraph, rounds: Sequence[Sequence[int]] | None = None) -> Matching:
+    """Maximum-cardinality matching; deterministic for equal inputs.
+
+    ``rounds`` partitions the nodes into groups that join one after
+    another; the default is one round of all nodes. A node and its links
+    take part only from its own round on. A round first searches once
+    from every still exposed node of earlier rounds, in id order, then
+    seeds greedily from its own nodes and searches from those still
+    exposed, both in the order given. It ends with a maximum matching of
+    the nodes joined so far.
+    """
+    if rounds is None:
+        rounds = (range(g.node_count),)
+    return Matching(tuple(_Matcher(g, rounds).run()))

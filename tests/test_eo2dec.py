@@ -30,6 +30,7 @@ from util import (
     inst,
     path_edges,
     rand_disjoint_pairs,
+    rand_forced,
     rand_graph,
     rand_parity,
     subset,
@@ -100,6 +101,17 @@ def test_matching_to_orientation_routes_around_two_conflicts():
     assert er.t == 0
     assert er.orientation.incoming(i.graph, 0) == frozenset()
     assert er.orientation.incoming(i.graph, 2) == frozenset()
+
+
+def test_matching_to_orientation_reads_slot_nodes():
+    g = Multigraph(3, tuple(P3))
+    lp = build_lprime(g, ())
+    # Nodes 0-1 are the edges, 2-4 the slots of vertices 0-2, 5 carries no edge.
+    er = matching_to_orientation(g, lp, Matching((3, 4, -1, 0, 1, -1)))
+    assert er.orientation.heads == (1, 2)
+    assert er.odd_vertices == (1, 2)
+    with pytest.raises(InvalidInstanceError):
+        matching_to_orientation(g, lp, Matching((5, -1, -1, -1, -1, 0)))
 
 
 def test_solve_eo_2dec_c4():
@@ -173,19 +185,47 @@ def test_solve_pco_2dec_rejects_overlap_and_odd_sizes():
 
 
 def test_solve_pco_2dec_maximizes_satisfied_parities():
-    rng = Random(515)
-    for _ in range(120):
-        g = rand_graph(rng, nmax=5, mmax=9)
-        i = Instance(g, rand_parity(rng, g.vertex_count), rand_disjoint_pairs(rng, g, 2))
-        er = solve_pco_2dec(i)
+    checked = 0
+    for seed in range(3000):
+        rng = Random(seed)
+        g = rand_graph(rng, nmax=7, mmax=13)
+        parity = rand_parity(rng, g.vertex_count)
+        pairs = rand_disjoint_pairs(rng, g, max_count=4)
+        i = Instance(g, parity, pairs, rand_forced(rng, g, frac=0.2))
+        try:
+            er = solve_pco_2dec(i)
+        except UnsupportedError:
+            continue
+        checked += 1
         want = enumerate_best(i)
         if er is None:
-            assert not want.feasible and want.best_satisfied_parities is None
+            assert not want.feasible and want.best_satisfied_parities is None, f"seed {seed}"
             continue
-        assert er.satisfied == want.best_satisfied_parities, f"mismatch on {i}"
+        assert er.satisfied == want.best_satisfied_parities, f"seed {seed}: {i}"
         rep = verify(i, er.orientation)
-        assert rep.conflict_violations == ()
+        assert rep.conflict_violations == (), f"seed {seed}"
         assert er.satisfied == len(i.parity) - len(rep.parity_violations)
+    assert checked > 2000
+
+
+@pytest.mark.parametrize(
+    "i",
+    [
+        inst(6, [(1, 2), (1, 5)], parity={0: 1, 3: 1, 4: 1, 5: 0}, conflicts=(exact(1, 0, 1),)),
+        inst(
+            6,
+            [(2, 3), (3, 5), (1, 2), (1, 5)],
+            parity={1: 1, 2: 0},
+            conflicts=(exact(2, 0, 2), exact(5, 1, 3), exact(3, 0, 1), exact(1, 2, 3)),
+        ),
+    ],
+    ids=["short-by-one", "rerouting-did-not-converge"],
+)
+def test_solve_pco_2dec_meets_one_constraint_on_minimal_repros(i):
+    er = solve_pco_2dec(i)
+    assert er is not None
+    assert er.satisfied == enumerate_best(i).best_satisfied_parities == 1
+    assert verify(i, er.orientation).conflict_violations == ()
 
 
 def test_solve_pco_dec_without_conflicts_matches_base_solver():

@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from pcorient import io
+from pcorient import cli, io
 from pcorient.cli import main, pick_route
 from pcorient.core import ConflictKind, Orientation, verify
 from pcorient.errors import InvalidDocumentError, InvalidInstanceError
@@ -189,6 +189,15 @@ def test_cli_solver_override_can_hit_unsupported(tmp_path, capsys):
 def test_cli_max_parities_requires_the_exact_pair_route(c4_file, capsys):
     assert main(["solve", str(c4_file), "--max-parities"]) == 2
     assert "exact-pair route" in capsys.readouterr().err
+
+
+def test_cli_internal_error_exits_4(c4_file, monkeypatch, capsys):
+    def broken(inst):
+        raise RuntimeError("matching route bug")
+
+    monkeypatch.setattr(cli, "solve_pco_2dec", broken)
+    assert main(["solve", str(c4_file), "--solver", "pco-2dec"]) == 4
+    assert "internal error: matching route bug" in capsys.readouterr().err
 
 
 def test_cli_verify_round_trip(c4_file, tmp_path, capsys):

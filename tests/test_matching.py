@@ -99,3 +99,34 @@ def test_deterministic_output():
     rng = Random(5)
     links = tuple(random_links(rng, 8, 0.5))
     assert max_matching(SimpleGraph(8, links)).mate == max_matching(SimpleGraph(8, links)).mate
+
+
+def test_rounds_decide_which_nodes_stay_exposed():
+    path = SimpleGraph(3, ((0, 1), (1, 2)))
+    assert max_matching(path).uncovered() == (2,)
+    assert max_matching(path, [range(3)]) == max_matching(path)
+    assert max_matching(path, [(1, 2), (0,)]).uncovered() == (0,)
+
+
+def test_every_round_ends_maximum_over_the_nodes_joined():
+    rng = Random(78)
+    for _ in range(60):
+        links = random_links(rng, 10, rng.choice((0.2, 0.35, 0.5)))
+        nodes = list(range(10))
+        rng.shuffle(nodes)
+        cut = sorted(rng.sample(range(1, 10), 2))
+        rounds = [nodes[: cut[0]], nodes[cut[0] : cut[1]], nodes[cut[1] :]]
+        m = max_matching(SimpleGraph(10, tuple(links)), rounds)
+        assert m.size == brute_matching_size(10, links)
+        first = set(rounds[0])
+        inner = [(u, v) for u, v in links if u in first and v in first]
+        covered_first = sum(1 for v in first if m.mate[v] != -1)
+        assert covered_first >= 2 * brute_matching_size(10, inner)
+
+
+def test_rounds_must_partition_the_nodes():
+    g = SimpleGraph(3, ((0, 1), (1, 2)))
+    with pytest.raises(ValueError):
+        max_matching(g, [(0, 1)])
+    with pytest.raises(ValueError):
+        max_matching(g, [(0, 1), (1, 2)])
