@@ -118,7 +118,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
     if not res.feasible:
         print("infeasible", file=sys.stderr)
         return EXIT_INFEASIBLE
-    assert res.orientation is not None
+    if res.orientation is None:
+        raise RuntimeError(f"route {route} reported feasible without an orientation")
     _write(args.output, io.serialize_orientation(res.orientation))
     return EXIT_OK
 

@@ -348,7 +348,8 @@ def contract_forced(inst: Instance) -> Contraction | None:
         ):
             continue
         rem = frozenset(e for e in c.edges if forced.get(e) != v)
-        assert rem, "conflict fixpoint left an empty edge set"
+        if not rem:
+            raise RuntimeError("conflict fixpoint left an empty edge set")
         live.append(c if rem == c.edges else Conflict(v, rem, c.kind))
     parity = dict(inst.parity)
     for e, h in forced.items():

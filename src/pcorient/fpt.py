@@ -4,66 +4,37 @@ The polynomial routes require pairwise-disjoint conflicts. When conflict
 sets overlap, branch instead on how each conflict is avoided: orienting a
 member edge away from the vertex always works, and for an exact conflict
 the alternative is taking every member in plus one extra incident edge,
-which overshoots the forbidden set. Each complete choice combination
-becomes a forced-edge map handed to the base parity solver, so a leaf
-solution is conflict-free by construction.
+which overshoots the forbidden set. Each alternative is a small forcing
+map merged into the forcings chosen so far; a merge that contradicts them
+prunes the branch. At a leaf the accumulated map goes to the base parity
+solver, so a leaf solution is conflict-free by construction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Iterator
 
 from .core import Conflict, ConflictKind, EdgeId, Instance, Multigraph, VertexId, verify
 from .errors import InvalidInstanceError
 from .pco import PcoResult, solve_pco
 
-__all__ = [
-    "AllInPlusExtra",
-    "AwayEdge",
-    "BranchChoice",
-    "solve_pco_ec_fpt",
-    "solve_pco_sc_fpt",
-]
+__all__ = ["solve_pco_ec_fpt", "solve_pco_sc_fpt"]
 
 
-@dataclass(frozen=True)
-class AwayEdge:
-    """Avoid a conflict by orienting this member edge away from its vertex."""
+def _choices(g: Multigraph, c: Conflict) -> Iterator[dict[EdgeId, VertexId]]:
+    """Forcings that each avoid one conflict, in exploration order.
 
-    edge: EdgeId
-
-
-@dataclass(frozen=True)
-class AllInPlusExtra:
-    """Exact conflicts only: orient every member in, plus this outside edge.
-
-    The extra edge is incident to the conflict vertex but not a member, so
-    the incoming set strictly contains the forbidden one.
+    First one member edge pointed away from the vertex, members in id
+    order; then, for an exact conflict, every member in plus one outside
+    incident edge, outside edges in incidence order. The extra edge makes
+    the incoming set strictly contain the forbidden one.
     """
-
-    extra: EdgeId
-
-
-BranchChoice = Union[AwayEdge, AllInPlusExtra]
-
-
-def _choices(g: Multigraph, c: Conflict) -> Iterator[BranchChoice]:
-    """Branch alternatives for one conflict: away edges first, in id order."""
     for e in sorted(c.edges):
-        yield AwayEdge(e)
+        yield {e: g.other_end(e, c.vertex)}
     if c.kind is ConflictKind.EXACT:
         for f in g.incident(c.vertex):
             if f not in c.edges:
-                yield AllInPlusExtra(f)
-
-
-def _forcings(g: Multigraph, c: Conflict, choice: BranchChoice) -> dict[EdgeId, VertexId]:
-    if isinstance(choice, AwayEdge):
-        return {choice.edge: g.other_end(choice.edge, c.vertex)}
-    delta = {e: c.vertex for e in c.edges}
-    delta[choice.extra] = c.vertex
-    return delta
+                yield dict.fromkeys((*c.edges, f), c.vertex)
 
 
 def _merge(forced: dict[EdgeId, VertexId], delta: dict[EdgeId, VertexId]) -> dict[EdgeId, VertexId] | None:
@@ -105,8 +76,8 @@ def _branch(inst: Instance) -> PcoResult:
             return res if res.feasible else None
         if _discharged(g, inst.conflicts[i], forced):
             return rec(i + 1, forced)
-        for choice in _choices(g, inst.conflicts[i]):
-            nxt = _merge(forced, _forcings(g, inst.conflicts[i], choice))
+        for delta in _choices(g, inst.conflicts[i]):
+            nxt = _merge(forced, delta)
             if nxt is None:
                 continue
             res = rec(i + 1, nxt)

@@ -69,16 +69,15 @@ class _Build:
 
 def _assert_shape(art: HardnessArtifact, backbone: str, clause_degree: int) -> None:
     g = art.instance.graph
+    degree_of = {backbone: 4, "clause": clause_degree, "clause-pendant": 1, "parity-pendant": 1}
     for role, x in art.labels.items():
-        head = role.split("/", 1)[0]
-        if head == backbone:
-            assert g.degree(x) == 4, role
-        elif head == "clause":
-            assert g.degree(x) == clause_degree, role
-        elif head in ("clause-pendant", "parity-pendant"):
-            assert g.degree(x) == 1, role
-    assert g.edge_count % 2 == 0
-    assert all(c.size == 2 for c in art.instance.conflicts)
+        want = degree_of.get(role.split("/", 1)[0])
+        if want is not None and g.degree(x) != want:
+            raise RuntimeError(f"{role} has degree {g.degree(x)}, not {want}")
+    if g.edge_count % 2:
+        raise RuntimeError("hardness encoding has an odd edge count")
+    if any(c.size != 2 for c in art.instance.conflicts):
+        raise RuntimeError("hardness encoding has a conflict that is not a pair")
 
 
 def reduce_to_pco_2ec(f: SatInstance) -> HardnessArtifact:
@@ -221,7 +220,8 @@ def reduce_to_pco_2sc(f: SatInstance) -> HardnessArtifact:
     for j in range(m):
         pe = b.labels[f"clause-pendant-edge/{j}"]
         lits = sorted(e for e in g.incident(clause_v[j]) if e != pe)
-        assert len(lits) == 3, f"clause {j} collects {len(lits)} literal edges"
+        if len(lits) != 3:
+            raise RuntimeError(f"clause {j} collects {len(lits)} literal edges")
         for a, c in combinations(lits, 2):
             conflicts.append(Conflict(clause_v[j], frozenset((a, c)), ConflictKind.SUBSET))
     inst = Instance(g, {v: 0 for v in range(g.vertex_count)}, tuple(conflicts))

@@ -1,10 +1,10 @@
 """Ground-truth brute force: orientation sweeps and a 1-in-3-SAT decider.
 
 ``enumerate_best`` walks all orientations of an instance and reports the
-aggregates every other module tests against. Two interchangeable
-implementations exist, a plain Python loop and a bitmask-vectorized one;
-they produce identical results, witness included, and the tests hold them
-to that. ``decide_feasible`` is a complete backtracking search for the
+aggregates every other module tests against. It is one bitmask sweep,
+vectorized with numpy over chunks of orientations; the tests hold it to a
+plain per-orientation loop kept beside them as the reference, witness
+included. ``decide_feasible`` is a complete backtracking search for the
 instances whose orientation space is too large to sweep flat.
 """
 
@@ -44,56 +44,11 @@ def enumerate_best(inst: Instance, max_edges: int = 20) -> OracleResult:
     bits (bit 1 points an edge at its larger endpoint), so witnesses are
     reproducible. Refuses instances with more than ``max_edges`` edges.
     """
-    m = inst.graph.edge_count
+    g = inst.graph
+    n, m = g.vertex_count, g.edge_count
     if m > max_edges:
         raise OracleLimitError(f"instance has {m} edges, oracle budget is {max_edges}")
     free = [e for e in range(m) if e not in inst.forced]
-    if len(free) >= 14:
-        return _enumerate_vector(inst, free)
-    return _enumerate_scalar(inst, free)
-
-
-def _enumerate_scalar(inst: Instance, free: list[int]) -> OracleResult:
-    g = inst.graph
-    heads = [0] * g.edge_count
-    for e, h in inst.forced.items():
-        heads[e] = h
-    best_sat = -1
-    min_odd: int | None = None
-    witness: Orientation | None = None
-    for mask in range(1 << len(free)):
-        for j, e in enumerate(free):
-            lo, hi = g.edges[e]
-            heads[e] = hi if (mask >> j) & 1 else lo
-        ok = True
-        for c in inst.conflicts:
-            incoming = {e for e in g.incident(c.vertex) if heads[e] == c.vertex}
-            if c.kind is ConflictKind.EXACT:
-                ok = incoming != c.edges
-            else:
-                ok = not (c.edges <= incoming)
-            if not ok:
-                break
-        if not ok:
-            continue
-        indeg = [0] * g.vertex_count
-        for h in heads:
-            indeg[h] += 1
-        sat = sum(1 for v, p in inst.parity.items() if indeg[v] % 2 == p)
-        odd = sum(1 for d in indeg if d % 2)
-        if min_odd is None or odd < min_odd:
-            min_odd = odd
-        if sat > best_sat:
-            best_sat = sat
-            witness = Orientation(tuple(heads))
-    if witness is None:
-        return OracleResult(False, None, None, None)
-    return OracleResult(best_sat == len(inst.parity), best_sat, min_odd, witness)
-
-
-def _enumerate_vector(inst: Instance, free: list[int]) -> OracleResult:
-    g = inst.graph
-    n = g.vertex_count
     bit_of = {e: j for j, e in enumerate(free)}
     hi_mask = [0] * n
     lo_mask = [0] * n
@@ -168,7 +123,7 @@ def _enumerate_vector(inst: Instance, free: list[int]) -> OracleResult:
             min_odd = chunk_min
     if best_idx < 0:
         return OracleResult(False, None, None, None)
-    heads = [0] * g.edge_count
+    heads = [0] * m
     for e, h in inst.forced.items():
         heads[e] = h
     for j, e in enumerate(free):

@@ -56,7 +56,8 @@ def _solve(inst: Instance, maximize: bool) -> PcoResult:
     if inst.conflicts:
         raise InvalidInstanceError("base parity solver does not accept conflicts")
     con = contract_forced(inst)
-    assert con is not None  # no conflicts, so contraction cannot fail
+    if con is None:
+        raise RuntimeError("forced-edge contraction failed on a conflict-free instance")
     red = con.instance
     g = red.graph
     heads: list[int] = [-1] * g.edge_count

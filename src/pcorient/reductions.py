@@ -49,8 +49,10 @@ class ReductionMap:
     new_edges: tuple[tuple[int, str], ...]
 
     def __post_init__(self) -> None:
-        assert len(self.edge_map) == len(self.head_map)
-        assert len(set(self.edge_map)) == len(self.edge_map)
+        if len(self.edge_map) != len(self.head_map):
+            raise RuntimeError("reduction map has an edge map and head map of different lengths")
+        if len(set(self.edge_map)) != len(self.edge_map):
+            raise RuntimeError("reduction map sends two original edges to one reduced edge")
 
 
 def pull_back(reduced: Orientation, rmap: ReductionMap) -> Orientation:
@@ -61,9 +63,10 @@ def pull_back(reduced: Orientation, rmap: ReductionMap) -> Orientation:
         (ra, oa), (rb, ob) = rmap.head_map[e]
         if rh == ra:
             heads.append(oa)
-        else:
-            assert rh == rb
+        elif rh == rb:
             heads.append(ob)
+        else:
+            raise RuntimeError(f"reduced head {rh} of edge {e} is neither endpoint")
     return Orientation(tuple(heads))
 
 
@@ -243,7 +246,8 @@ def pco_dec_to_eo_2dec(inst: Instance) -> tuple[Instance, ReductionMap]:
         new_edges.extend(
             (e, "net-output" if e in em.outputs else "net-edge") for e in em.new_edges
         )
-        assert len(em.new_edges) % 2 == 0 and mark + len(em.new_edges) == b.edge_count
+        if len(em.new_edges) % 2 or mark + len(em.new_edges) != b.edge_count:
+            raise RuntimeError("switching network emitted an odd or misplaced edge set")
 
     edge_map = []
     head_map: list[HeadPair] = []
@@ -284,7 +288,8 @@ def pco_dec_to_eo_2dec(inst: Instance) -> tuple[Instance, ReductionMap]:
     )
     _carry_forced(b, inst, rmap)
     out = b.build()
-    assert all(c.size == 2 for c in out.conflicts)
+    if any(c.size != 2 for c in out.conflicts):
+        raise RuntimeError("reduction left a conflict that is not a pair")
     return out, rmap
 
 
@@ -359,7 +364,8 @@ def eo_dsc_to_eo_2dec(inst: Instance) -> tuple[Instance, ReductionMap]:
         if parity_fix is not None:
             e = b.add_edge(parity_fix, c.vertex)
             new_edges.append((e, "parity-pendant-edge"))
-        assert (len(b._edges) - mark) % 2 == 0
+        if (len(b._edges) - mark) % 2:
+            raise RuntimeError("conflict fan added an odd number of edges")
         b.add_conflict(hub, (anchor, brace), ConflictKind.EXACT)
 
     rmap = ReductionMap(
@@ -370,5 +376,6 @@ def eo_dsc_to_eo_2dec(inst: Instance) -> tuple[Instance, ReductionMap]:
     )
     _carry_forced(b, inst, rmap)
     out = b.build()
-    assert all(c.size == 2 for c in out.conflicts)
+    if any(c.size != 2 for c in out.conflicts):
+        raise RuntimeError("reduction left a conflict that is not a pair")
     return out, rmap

@@ -69,9 +69,3 @@ def parse_formula(text: str) -> SatInstance:
         raise InvalidDocumentError("; ".join(errors))
     return f
 
-
-def format_formula(f: SatInstance) -> str:
-    lines = []
-    for clause in f.clauses:
-        lines.append(" ".join(str(-(var + 1) if neg else var + 1) for var, neg in clause))
-    return "\n".join(lines) + ("\n" if lines else "")

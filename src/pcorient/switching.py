@@ -18,12 +18,11 @@ routable. Neither plug carries weight, so conservation is unaffected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
-from .core import ConflictKind, Instance, InstanceBuilder
+from .core import ConflictKind, InstanceBuilder
 from .errors import InvalidInstanceError
-from .oracle import iter_feasible
 
 
 @dataclass
@@ -40,7 +39,6 @@ class NetEmission:
     stages: tuple[int, ...]
     copy_u: list[int]
     copy_w: list[int]
-    copy_stage: list[int]
     input_slots: list[int]  # u-vertex per real input slot, a_1..a_k order
     slot_copy: list[int]
     copy_input_edges: list[list[int]]
@@ -60,7 +58,6 @@ def emit_network(b: InstanceBuilder, k: int, output_ends: list[int] | None) -> N
     if k < 2:
         raise InvalidInstanceError(f"switching network needs width >= 2, got {k}")
     stages = []
-    copies = 1
     width = k
     while width > 1:
         width = (width + 1) // 2
@@ -72,7 +69,6 @@ def emit_network(b: InstanceBuilder, k: int, output_ends: list[int] | None) -> N
         stages=tuple(stages),
         copy_u=[],
         copy_w=[],
-        copy_stage=[],
         input_slots=[],
         slot_copy=[],
         copy_input_edges=[],
@@ -92,7 +88,7 @@ def emit_network(b: InstanceBuilder, k: int, output_ends: list[int] | None) -> N
         return e
 
     stage_first = []  # index of each stage's first copy
-    for si, count in enumerate(stages):
+    for count in stages:
         stage_first.append(len(em.copy_u))
         for _ in range(count):
             u = new_vertex(0)
@@ -103,7 +99,6 @@ def emit_network(b: InstanceBuilder, k: int, output_ends: list[int] | None) -> N
             b.add_conflict(w, (c1, c2), ConflictKind.EXACT)
             em.copy_u.append(u)
             em.copy_w.append(w)
-            em.copy_stage.append(si)
             em.copy_input_edges.append([])
             em.nonleaf_vertices.extend((u, w))
 
@@ -147,8 +142,8 @@ def emit_network(b: InstanceBuilder, k: int, output_ends: list[int] | None) -> N
     total_copies = len(em.copy_u)
     root = total_copies - 1
     # One surplus export per plugged input slot; the counts always agree.
-    assert total_copies + 1 - k == len(capped_copies)
-    assert root not in capped_copies
+    if total_copies + 1 - k != len(capped_copies) or root in capped_copies:
+        raise RuntimeError("switching network plugs do not match its width")
 
     def attach_output(copy: int, slot: int) -> int:
         if output_ends is not None:
@@ -172,72 +167,19 @@ def emit_network(b: InstanceBuilder, k: int, output_ends: list[int] | None) -> N
             export = attach_output(copy, next_slot)
             next_slot += 1
         b.add_conflict(em.copy_w[copy], (forward_edge[copy], export), ConflictKind.EXACT)
-    assert len(em.outputs) == k
+    if len(em.outputs) != k:
+        raise RuntimeError(f"switching network exports {len(em.outputs)} edges, not {k}")
     return em
 
 
 def finish_network_inputs(b: InstanceBuilder, em: NetEmission, input_edges: Sequence[int]) -> None:
     """Register the k input edges and place the first-stage conflict pairs."""
-    assert len(input_edges) == em.k
+    if len(input_edges) != em.k:
+        raise RuntimeError(f"width-{em.k} switching network got {len(input_edges)} inputs")
     for slot, e in enumerate(input_edges):
         em.copy_input_edges[em.slot_copy[slot]].append(e)
     for copy in range(em.stages[0]):
         ins = em.copy_input_edges[copy]
-        assert len(ins) == 2
+        if len(ins) != 2:
+            raise RuntimeError(f"first-stage cell {copy} has {len(ins)} inputs, not 2")
         b.add_conflict(em.copy_u[copy], tuple(ins), ConflictKind.EXACT)
-
-
-@dataclass(frozen=True)
-class SwitchingNetwork:
-    """Standalone width-k network with unconstrained attachment leaves."""
-
-    k: int
-    instance: Instance
-    inputs: tuple[int, ...]  # edge a_i runs input_leaves[i] -> first stage
-    outputs: tuple[int, ...]  # edge b_i runs last stages -> output_leaves[i]
-    input_leaves: tuple[int, ...]
-    output_leaves: tuple[int, ...]
-    stages: tuple[int, ...]
-    copies: tuple[tuple[int, int], ...]  # (u, w) per cell
-    nonleaf_count: int
-
-
-def build_switching_network(k: int) -> SwitchingNetwork:
-    """Assemble a standalone network for direct property checking."""
-    b = InstanceBuilder()
-    input_leaves = [b.add_vertex(None) for _ in range(k)]
-    em = emit_network(b, k, output_ends=None)
-    input_edges = [b.add_edge(input_leaves[i], em.input_slots[i]) for i in range(k)]
-    finish_network_inputs(b, em, input_edges)
-    return SwitchingNetwork(
-        k=k,
-        instance=b.build(),
-        inputs=tuple(input_edges),
-        outputs=tuple(em.outputs),
-        input_leaves=tuple(input_leaves),
-        output_leaves=tuple(em.output_ends),
-        stages=em.stages,
-        copies=tuple(zip(em.copy_u, em.copy_w)),
-        nonleaf_count=len(em.nonleaf_vertices),
-    )
-
-
-def valid_output_patterns(net: SwitchingNetwork, rights: Sequence[bool]) -> set[tuple[bool, ...]]:
-    """All output orientations reachable under a fixed input pattern.
-
-    An input is right when oriented into the network, an output when
-    oriented out of it. Exhaustive by backtracking over the whole gadget.
-    """
-    assert len(rights) == net.k
-    forced = dict(net.instance.forced)
-    for i, right in enumerate(rights):
-        leaf = net.input_leaves[i]
-        inner = net.instance.graph.other_end(net.inputs[i], leaf)
-        forced[net.inputs[i]] = inner if right else leaf
-    pinned = replace(net.instance, forced=forced)
-    patterns = set()
-    for o in iter_feasible(pinned):
-        patterns.add(
-            tuple(o.heads[b] == net.output_leaves[j] for j, b in enumerate(net.outputs))
-        )
-    return patterns

@@ -1,0 +1,71 @@
+"""Standalone switching networks and their reachable output patterns.
+
+Test-side harness around ``pcorient.switching.emit_network``: it attaches
+a fresh unconstrained leaf to every input and output so a network can be
+checked on its own, and enumerates what each input pattern lets through.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, replace
+from typing import Sequence
+
+from pcorient.core import Instance, InstanceBuilder
+from pcorient.oracle import iter_feasible
+from pcorient.switching import emit_network, finish_network_inputs
+
+
+@dataclass(frozen=True)
+class SwitchingNetwork:
+    """Standalone width-k network with unconstrained attachment leaves."""
+
+    k: int
+    instance: Instance
+    inputs: tuple[int, ...]  # edge a_i runs input_leaves[i] -> first stage
+    outputs: tuple[int, ...]  # edge b_i runs last stages -> output_leaves[i]
+    input_leaves: tuple[int, ...]
+    output_leaves: tuple[int, ...]
+    stages: tuple[int, ...]
+    copies: tuple[tuple[int, int], ...]  # (u, w) per cell
+    nonleaf_count: int
+
+
+def build_switching_network(k: int) -> SwitchingNetwork:
+    """Assemble a standalone network for direct property checking."""
+    b = InstanceBuilder()
+    input_leaves = [b.add_vertex(None) for _ in range(k)]
+    em = emit_network(b, k, output_ends=None)
+    input_edges = [b.add_edge(input_leaves[i], em.input_slots[i]) for i in range(k)]
+    finish_network_inputs(b, em, input_edges)
+    return SwitchingNetwork(
+        k=k,
+        instance=b.build(),
+        inputs=tuple(input_edges),
+        outputs=tuple(em.outputs),
+        input_leaves=tuple(input_leaves),
+        output_leaves=tuple(em.output_ends),
+        stages=em.stages,
+        copies=tuple(zip(em.copy_u, em.copy_w)),
+        nonleaf_count=len(em.nonleaf_vertices),
+    )
+
+
+def valid_output_patterns(net: SwitchingNetwork, rights: Sequence[bool]) -> set[tuple[bool, ...]]:
+    """All output orientations reachable under a fixed input pattern.
+
+    An input is right when oriented into the network, an output when
+    oriented out of it. Exhaustive by backtracking over the whole gadget.
+    """
+    assert len(rights) == net.k
+    forced = dict(net.instance.forced)
+    for i, right in enumerate(rights):
+        leaf = net.input_leaves[i]
+        inner = net.instance.graph.other_end(net.inputs[i], leaf)
+        forced[net.inputs[i]] = inner if right else leaf
+    pinned = replace(net.instance, forced=forced)
+    patterns = set()
+    for o in iter_feasible(pinned):
+        patterns.add(
+            tuple(o.heads[b] == net.output_leaves[j] for j, b in enumerate(net.outputs))
+        )
+    return patterns

@@ -38,8 +38,8 @@ from pcorient.oracle import decide_feasible, enumerate_best, iter_feasible, sat_
 from pcorient.pco import solve_pco, solve_pco_max
 from pcorient.reductions import eo_dsc_to_eo_2dec, pco_dec_to_eo_2dec, pco_to_eo, pull_back
 from pcorient.sat import SatInstance
-from pcorient.switching import build_switching_network, valid_output_patterns
 
+from networks import build_switching_network, valid_output_patterns
 from util import (
     brute_matching_size,
     conflict_menu,

@@ -124,3 +124,39 @@ def test_deterministic_output():
     assert a.branches == b.branches
     if a.feasible:
         assert a.orientation.heads == b.orientation.heads
+
+
+@pytest.mark.parametrize(
+    "i, want",
+    [
+        # The instance of test_deterministic_output.
+        (
+            inst(
+                5,
+                [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)],
+                parity={0: 0, 2: 0},
+                conflicts=(exact(0, 0, 5), exact(2, 1, 5)),
+            ),
+            (True, 1, (1, 1, 2, 4, 4, 2)),
+        ),
+        # The instance of test_overlapping_conflicts_at_one_vertex.
+        (
+            inst(
+                5,
+                [(0, 1), (0, 2), (0, 3), (0, 4)],
+                parity={0: 0},
+                conflicts=(exact(0, 0, 1), exact(0, 1, 2)),
+            ),
+            (True, 1, (1, 2, 3, 4)),
+        ),
+        # Both away-edge leaves fail their pendant's parity; the all-in leaf is third.
+        (
+            inst(4, [(0, 1), (0, 2), (0, 3)], parity={0: 1, 1: 0, 2: 0}, conflicts=(exact(0, 0, 1),)),
+            (True, 3, (0, 0, 0)),
+        ),
+    ],
+)
+def test_exploration_order_is_pinned(i, want):
+    # Away edges by id first, then all-in plus an outside edge in incidence order.
+    res = solve_pco_ec_fpt(i)
+    assert (res.feasible, res.branches, res.orientation.heads) == want

@@ -8,18 +8,12 @@ import pytest
 
 from pcorient import Conflict, ConflictKind, Instance, Multigraph, enumerate_best, verify
 from pcorient.errors import InvalidDocumentError, OracleLimitError
-from pcorient.oracle import (
-    _enumerate_scalar,
-    _enumerate_vector,
-    decide_feasible,
-    iter_feasible,
-    sat_oracle,
-    sat_witness,
-)
+from pcorient.oracle import decide_feasible, iter_feasible, sat_oracle, sat_witness
 from pcorient.sat import SatInstance, parse_formula
 
 from util import (
     cycle_edges,
+    enumerate_scalar,
     even_parity,
     exact,
     inst,
@@ -117,17 +111,19 @@ def test_counts_invariant_under_relabeling():
 
 
 def test_scalar_and_vector_paths_agree():
+    # enumerate_best against the per-orientation reference, witness included.
     rng = Random(88)
-    for _ in range(40):
+    cases = [inst(0, []), inst(3, [], {0: 1, 2: 0})]
+    for _ in range(600):
         g = rand_graph(rng, nmax=6, mmax=13)
-        i = Instance(
-            g,
-            rand_parity(rng, g.vertex_count),
-            rand_conflicts(rng, g, rng.choice((ConflictKind.EXACT, ConflictKind.SUBSET))),
-            rand_forced(rng, g, 0.1),
+        conflicts = rand_conflicts(rng, g, ConflictKind.EXACT) + rand_conflicts(
+            rng, g, ConflictKind.SUBSET
         )
-        free = [e for e in range(g.edge_count) if e not in i.forced]
-        assert _enumerate_scalar(i, free) == _enumerate_vector(i, free)
+        cases.append(
+            Instance(g, rand_parity(rng, g.vertex_count), conflicts, rand_forced(rng, g, 0.3))
+        )
+    for i in cases:
+        assert enumerate_best(i) == enumerate_scalar(i), i
 
 
 def test_backtracking_agrees_with_flat_enumeration():

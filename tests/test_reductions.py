@@ -7,7 +7,7 @@ from random import Random
 
 import pytest
 
-from pcorient import Instance, Multigraph, enumerate_best, verify
+from pcorient import Instance, Multigraph, Orientation, enumerate_best, verify
 from pcorient.errors import InvalidInstanceError
 from pcorient.oracle import decide_feasible, iter_feasible
 from pcorient.reductions import eo_dsc_to_eo_2dec, pco_dec_to_eo_2dec, pco_to_eo, pull_back
@@ -27,6 +27,11 @@ def test_pco_to_eo_vacuous_on_even_instances():
     assert rmap.edge_map == (0, 1, 2, 3)
     assert red.parity == even_parity(4)
 
+
+def test_pull_back_rejects_a_head_off_the_edge():
+    _, rmap = pco_to_eo(inst(4, cycle_edges(4), even_parity(4)), "none")
+    with pytest.raises(RuntimeError, match="neither endpoint"):
+        pull_back(Orientation((2, 2, 3, 0)), rmap)  # edge 0 joins 0 and 1
 
 def test_pco_to_eo_path_example():
     i = inst(3, path_edges(3), parity={1: 1})

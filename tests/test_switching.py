@@ -12,7 +12,7 @@ from math import ceil, log2
 
 import pytest
 
-from pcorient.switching import build_switching_network, valid_output_patterns
+from networks import build_switching_network, valid_output_patterns
 
 
 def test_k_below_two_rejected():

@@ -6,7 +6,7 @@ from functools import lru_cache
 from itertools import product
 from random import Random
 
-from pcorient import Conflict, ConflictKind, Instance, Multigraph
+from pcorient import Conflict, ConflictKind, Instance, Multigraph, OracleResult, Orientation
 
 
 def inst(
@@ -142,6 +142,50 @@ def brute_matching_size(node_count: int, links: list[tuple[int, int]]) -> int:
     finally:
         best.cache_clear()
 
+
+def enumerate_scalar(inst: Instance) -> OracleResult:
+    """Reference for ``enumerate_best``: the same sweep, one orientation at a time.
+
+    Binary-counter order over the free edges (bit 1 points an edge at its
+    larger endpoint), conflicts tested on explicit incoming sets, and the
+    first orientation reaching the best parity count kept as witness.
+    """
+    g = inst.graph
+    free = [e for e in range(g.edge_count) if e not in inst.forced]
+    heads = [0] * g.edge_count
+    for e, h in inst.forced.items():
+        heads[e] = h
+    best_sat = -1
+    min_odd: int | None = None
+    witness: Orientation | None = None
+    for mask in range(1 << len(free)):
+        for j, e in enumerate(free):
+            lo, hi = g.edges[e]
+            heads[e] = hi if (mask >> j) & 1 else lo
+        ok = True
+        for c in inst.conflicts:
+            incoming = {e for e in g.incident(c.vertex) if heads[e] == c.vertex}
+            if c.kind is ConflictKind.EXACT:
+                ok = incoming != c.edges
+            else:
+                ok = not (c.edges <= incoming)
+            if not ok:
+                break
+        if not ok:
+            continue
+        indeg = [0] * g.vertex_count
+        for h in heads:
+            indeg[h] += 1
+        sat = sum(1 for v, p in inst.parity.items() if indeg[v] % 2 == p)
+        odd = sum(1 for d in indeg if d % 2)
+        if min_odd is None or odd < min_odd:
+            min_odd = odd
+        if sat > best_sat:
+            best_sat = sat
+            witness = Orientation(tuple(heads))
+    if witness is None:
+        return OracleResult(False, None, None, None)
+    return OracleResult(best_sat == len(inst.parity), best_sat, min_odd, witness)
 
 def is_connected(n: int, links: list[tuple[int, int]]) -> bool:
     if n == 0:
