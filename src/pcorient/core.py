@@ -8,6 +8,7 @@ those ids, so parallel edges are distinct conflict members.
 from __future__ import annotations
 
 import enum
+from collections import deque
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Mapping, NamedTuple
@@ -254,7 +255,9 @@ def components(g: Multigraph) -> list[Component]:
     """Connected components, ordered by smallest member vertex id.
 
     Exploration is breadth-first with neighbors taken in incident-edge-id
-    order, so the result is deterministic for equal graphs.
+    order, so the result is deterministic for equal graphs. An edge is
+    collected at its lower endpoint, and each component's edges are listed
+    in increasing id order.
     """
     seen = [False] * g.vertex_count
     out: list[Component] = []
@@ -263,18 +266,21 @@ def components(g: Multigraph) -> list[Component]:
             continue
         seen[start] = True
         verts = [start]
-        queue = [start]
+        eids: list[EdgeId] = []
+        queue = deque([start])
         while queue:
-            v = queue.pop(0)
+            v = queue.popleft()
             for e in g.incident(v):
-                w = g.other_end(e, v)
+                w, hi = g.edges[e]
+                if w == v:
+                    eids.append(e)
+                    w = hi
                 if not seen[w]:
                     seen[w] = True
                     verts.append(w)
                     queue.append(w)
-        vset = set(verts)
-        eids = tuple(e for e, (u, _) in enumerate(g.edges) if u in vset)
-        out.append(Component(tuple(sorted(verts)), eids))
+        eids.sort()
+        out.append(Component(tuple(sorted(verts)), tuple(eids)))
     return out
 
 

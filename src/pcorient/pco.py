@@ -20,6 +20,7 @@ from .core import (
     components,
     contract_forced,
     expand_orientation,
+    require_valid,
 )
 from .errors import InvalidInstanceError
 
@@ -38,6 +39,7 @@ def solve_pco(inst: Instance) -> PcoResult:
     A component is feasible when it has an unconstrained vertex, or when
     its constraint parities sum to the edge count mod 2; forced edges are
     contracted away first, flipping the parity at each forced head.
+    Raises InvalidInstanceError on a malformed instance or any conflict.
     """
     return _solve(inst, maximize=False)
 
@@ -53,6 +55,7 @@ def solve_pco_max(inst: Instance) -> PcoResult:
 
 
 def _solve(inst: Instance, maximize: bool) -> PcoResult:
+    require_valid(inst)
     if inst.conflicts:
         raise InvalidInstanceError("base parity solver does not accept conflicts")
     con = contract_forced(inst)

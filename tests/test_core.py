@@ -22,7 +22,17 @@ from pcorient import (
 from pcorient.errors import InvalidInstanceError
 
 from strategies import instances, multigraphs
-from util import exact, inst, path_edges, rand_conflicts, rand_forced, rand_graph, rand_parity, subset
+from util import (
+    components_rescan,
+    exact,
+    inst,
+    path_edges,
+    rand_conflicts,
+    rand_forced,
+    rand_graph,
+    rand_parity,
+    subset,
+)
 
 P3 = path_edges(3)
 
@@ -133,6 +143,22 @@ def test_components_two_disjoint_edges():
 def test_components_isolated_vertices():
     comps = components(Multigraph(3, ()))
     assert [c.vertices for c in comps] == [(0,), (1,), (2,)]
+
+
+def test_components_match_the_rescanning_reference():
+    rng = Random(303)
+    isolated = parallel = 0
+    for _ in range(500):
+        g = rand_graph(rng, nmax=30, mmax=30, mmin=0)
+        edges = list(g.edges)
+        for _ in range(rng.randint(0, 4)):
+            if edges:
+                edges.insert(rng.randrange(len(edges) + 1), rng.choice(edges))
+        g = Multigraph(g.vertex_count, tuple(edges))
+        isolated += any(g.degree(v) == 0 for v in range(g.vertex_count))
+        parallel += len(set(edges)) < len(edges)
+        assert components(g) == components_rescan(g), g
+    assert isolated > 100 and parallel > 100
 
 
 @settings(max_examples=80, deadline=None)

@@ -6,11 +6,14 @@ from random import Random
 
 import pytest
 
+import pcorient.fpt
 from pcorient import ConflictKind, Instance, solve_pco, solve_pco_ec_fpt, solve_pco_sc_fpt, verify
 from pcorient.errors import InvalidInstanceError
+from pcorient.fpt import _leaf_feasible, _leaf_table
 from pcorient.oracle import decide_feasible
 
 from util import (
+    branch_reference,
     cycle_edges,
     even_parity,
     exact,
@@ -160,3 +163,62 @@ def test_exploration_order_is_pinned(i, want):
     # Away edges by id first, then all-in plus an outside edge in incidence order.
     res = solve_pco_ec_fpt(i)
     assert (res.feasible, res.branches, res.orientation.heads) == want
+
+
+def _outcome(res):
+    return res.feasible, res.branches, res.orientation.heads if res.feasible else None
+
+
+@pytest.mark.parametrize(
+    "kind, solver",
+    [(ConflictKind.EXACT, solve_pco_ec_fpt), (ConflictKind.SUBSET, solve_pco_sc_fpt)],
+)
+def test_leaf_table_search_matches_the_per_leaf_reference(kind, solver):
+    # Count searches that end past their first leaf, won and lost.
+    later_leaf_wins = later_leaves_fail = 0
+    for seed in range(1500):
+        rng = Random(seed)
+        g = rand_graph(rng, nmax=7, mmax=12)
+        i = Instance(
+            g,
+            rand_parity(rng, g.vertex_count, density=0.8),
+            rand_conflicts(rng, g, kind, max_count=4, max_size=3),
+            rand_forced(rng, g, frac=0.2),
+        )
+        got = _outcome(solver(i))
+        assert got == _outcome(branch_reference(i)), f"seed {seed}: {i}"
+        later_leaf_wins += got[0] and got[1] > 1
+        later_leaves_fail += not got[0] and got[1] > 1
+    assert later_leaf_wins > 10 and later_leaves_fail > 100
+
+
+def test_leaf_check_matches_the_base_solver():
+    rng = Random(404)
+    verdicts = set()
+    for _ in range(600):
+        g = rand_graph(rng, nmax=8, mmax=14)
+        kind = rng.choice(list(ConflictKind))
+        i = Instance(
+            g,
+            rand_parity(rng, g.vertex_count, density=0.8),
+            rand_conflicts(rng, g, kind, max_count=4, max_size=3),
+            rand_forced(rng, g, frac=0.2),
+        )
+        table = _leaf_table(i)
+        for _ in range(5):
+            forced = dict(i.forced)
+            for e, *_ in table.edges:
+                if rng.random() < 0.5:
+                    forced[e] = g.edges[e][rng.randint(0, 1)]
+            want = solve_pco(Instance(g, i.parity, (), forced)).feasible
+            assert _leaf_feasible(table, forced) == want, (i, forced)
+            verdicts.add(want)
+    assert verdicts == {False, True}
+
+
+def test_a_leaf_the_table_wrongly_passes_raises(monkeypatch):
+    # The first leaf is already infeasible, so a table that passes it must raise.
+    i = inst(4, [(0, 1), (0, 2), (0, 3)], parity={0: 1, 1: 0, 2: 0}, conflicts=(exact(0, 0, 1),))
+    monkeypatch.setattr(pcorient.fpt, "_leaf_feasible", lambda table, forced: True)
+    with pytest.raises(RuntimeError, match="leaf table"):
+        solve_pco_ec_fpt(i)

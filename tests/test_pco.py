@@ -7,7 +7,17 @@ from random import Random
 import pytest
 from hypothesis import given, settings
 
-from pcorient import Instance, Multigraph, components, enumerate_best, solve_pco, solve_pco_max, verify
+from pcorient import (
+    Instance,
+    Multigraph,
+    components,
+    enumerate_best,
+    solve_pco,
+    solve_pco_ec_fpt,
+    solve_pco_max,
+    solve_pco_sc_fpt,
+    verify,
+)
 from pcorient.errors import InvalidInstanceError
 
 from strategies import instances
@@ -37,6 +47,22 @@ def test_conflicts_are_rejected():
     i = inst(3, path_edges(3), conflicts=(exact(1, 0, 1),))
     with pytest.raises(InvalidInstanceError):
         solve_pco(i)
+
+
+@pytest.mark.parametrize("solver", [solve_pco, solve_pco_max, solve_pco_ec_fpt, solve_pco_sc_fpt])
+@pytest.mark.parametrize(
+    "bad",
+    [
+        inst(3, [(0, 1), (1, 1)]),
+        inst(3, path_edges(3), parity={1: 2}),
+        inst(3, path_edges(3), forced={0: 2}),
+        inst(3, [(0, 1), (1, 3)]),
+    ],
+    ids=["self-loop", "parity-2", "forced-head-off-edge", "endpoint-out-of-range"],
+)
+def test_malformed_instances_are_rejected_at_entry(solver, bad):
+    with pytest.raises(InvalidInstanceError):
+        solver(bad)
 
 
 def test_forced_edges_are_respected():

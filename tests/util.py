@@ -6,7 +6,18 @@ from functools import lru_cache
 from itertools import product
 from random import Random
 
-from pcorient import Conflict, ConflictKind, Instance, Multigraph, OracleResult, Orientation
+from pcorient import (
+    Conflict,
+    ConflictKind,
+    Instance,
+    Multigraph,
+    OracleResult,
+    Orientation,
+    PcoResult,
+    solve_pco,
+)
+from pcorient.core import Component
+from pcorient.fpt import _choices, _discharged, _merge
 
 
 def inst(
@@ -186,6 +197,58 @@ def enumerate_scalar(inst: Instance) -> OracleResult:
     if witness is None:
         return OracleResult(False, None, None, None)
     return OracleResult(best_sat == len(inst.parity), best_sat, min_odd, witness)
+
+
+def components_rescan(g: Multigraph) -> list[Component]:
+    """Reference for ``components``: BFS for the vertices, then one scan of
+    every edge per component, keeping those whose lower endpoint it holds."""
+    seen = [False] * g.vertex_count
+    out: list[Component] = []
+    for start in range(g.vertex_count):
+        if seen[start]:
+            continue
+        seen[start] = True
+        verts = [start]
+        queue = [start]
+        while queue:
+            v = queue.pop(0)
+            for e in g.incident(v):
+                w = g.other_end(e, v)
+                if not seen[w]:
+                    seen[w] = True
+                    verts.append(w)
+                    queue.append(w)
+        vset = set(verts)
+        eids = tuple(e for e, (u, _) in enumerate(g.edges) if u in vset)
+        out.append(Component(tuple(sorted(verts)), eids))
+    return out
+
+
+def branch_reference(inst: Instance) -> PcoResult:
+    """Reference for the branching solvers: the same search, with every
+    leaf rebuilt as a conflict-free instance and decided by ``solve_pco``."""
+    g = inst.graph
+    leaves = 0
+
+    def rec(i: int, forced: dict[int, int]) -> PcoResult | None:
+        nonlocal leaves
+        if i == len(inst.conflicts):
+            leaves += 1
+            res = solve_pco(Instance(g, inst.parity, (), forced))
+            return res if res.feasible else None
+        if _discharged(g, inst.conflicts[i], forced):
+            return rec(i + 1, forced)
+        for delta in _choices(g, inst.conflicts[i]):
+            nxt = _merge(forced, delta)
+            if nxt is not None and (res := rec(i + 1, nxt)) is not None:
+                return res
+        return None
+
+    res = rec(0, dict(inst.forced))
+    if res is None:
+        return PcoResult(False, None, 0, branches=leaves)
+    return PcoResult(True, res.orientation, res.satisfied, branches=leaves)
+
 
 def is_connected(n: int, links: list[tuple[int, int]]) -> bool:
     if n == 0:
