@@ -344,6 +344,8 @@ def contract_forced(inst: Instance) -> Contraction | None:
                         f"forced edges reduce an exact conflict at vertex {v} to an "
                         "at-least-one-incoming requirement, which is not expressible"
                     )
+    if not forced:  # nothing to remove: the instance is its own contraction
+        return Contraction(inst, tuple(range(g.edge_count)), forced)
     live: list[Conflict] = []
     for c in inst.conflicts:
         v = c.vertex

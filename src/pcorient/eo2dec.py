@@ -1,20 +1,18 @@
-"""Even orientation with disjoint conflict pairs, solved through matching.
+"""Parity orientation with disjoint conflict pairs, solved through matching.
 
-An even orientation gives every vertex even indegree. With exact
-conflict pairs layered on top, the problem turns into maximum matching
-in an auxiliary graph whose nodes are the edges of G: two edges are
-linked when they share an endpoint at which the pair is not a conflict.
-A matched pair points into such a shared endpoint and contributes
-indegree two there; the uncovered edges form disjoint paths and
-circuits, and orienting each one forward pins exactly one odd vertex
-per edge. The least possible number of odd vertices is therefore the
-number of uncovered nodes in a maximum matching.
+Every polynomial conflict route ends on one maximum matching of the
+slot graph below. solve_pco_2dec reads it directly; solve_eo_2dec is
+solve_pco_2dec with every target 0; solve_pco_dec and solve_pco_dsc
+reduce larger disjoint exact or subset conflicts to even-targeted
+instances with conflict pairs and accept when no vertex is left odd.
 
-The parity-constrained solver matches a slot graph instead, built on
-the instance left after contracting forced edges. Its edge nodes are
-linked as above. Every vertex v adds a slot node linked to each edge at
-v; an edge matched to the slot is v's one unpaired incoming edge, so v
-ends with odd indegree exactly when its slot is matched to an edge.
+The slot graph is built on the instance left after contracting forced
+edges. Its edge nodes are the edges of G, two of them linked when they
+share an endpoint at which the pair is not a conflict: a matched pair
+points into such a shared endpoint and adds indegree two there. Every
+vertex v adds a slot node linked to each edge at v; an edge matched to
+the slot is v's one unpaired incoming edge, so v ends with odd
+indegree exactly when its slot is matched to an edge.
 Each violated constraint then costs one exposed node: an odd-target
 slot is left exposed, and an even-target slot matched to an edge
 leaves exposed the private partner it is otherwise matched to. Free
@@ -43,7 +41,7 @@ pair points only into a witness, and a slot takes a single edge.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import combinations
 from typing import NamedTuple, Sequence
@@ -58,6 +56,7 @@ from .core import (
     contract_forced,
     expand_orientation,
     normalize,
+    require_valid,
     verify,
 )
 from .errors import InvalidInstanceError, UnsupportedError
@@ -148,82 +147,23 @@ class EoResult:
         return len(self.odd_vertices)
 
 
-class _Run(NamedTuple):
-    """One path or circuit of uncovered edges; walk[i], walk[i+1] end edges[i]."""
-
-    edges: tuple[int, ...]
-    walk: tuple[int, ...]
-    closed: bool
-
-
-def _trace(g: Multigraph, at: dict[int, list[int]], used: set[int], start: int, first: int) -> _Run:
-    edges = [first]
-    used.add(first)
-    walk = [start, g.other_end(first, start)]
-    while True:
-        nxt = [e for e in at[walk[-1]] if e not in used]
-        if not nxt:
-            break
-        e = nxt[0]
-        used.add(e)
-        edges.append(e)
-        walk.append(g.other_end(e, walk[-1]))
-    return _Run(tuple(edges), tuple(walk), closed=walk[0] == walk[-1])
-
-
-def _decompose_estar(g: Multigraph, lp: LPrimeGraph, estar: Sequence[int]) -> list[_Run]:
-    """Split the uncovered edges into paths and circuits, deterministically.
-
-    Paths start at their smallest endpoint, circuits at their smallest
-    vertex heading for the smaller-id neighbor (ties by edge id). With a
-    maximum matching every vertex sees at most two uncovered edges, and
-    a vertex seeing two must host them as a conflict; both are checked
-    because a violation means the matching missed an augmenting link.
-    """
-    at: dict[int, list[int]] = defaultdict(list)
-    for e in estar:
-        u, v = g.edges[e]
-        at[u].append(e)
-        at[v].append(e)
-    for v, es in at.items():
-        if len(es) > 2:
-            raise RuntimeError(f"three uncovered edges meet at vertex {v}; matching bug")
-        if len(es) == 2 and v in lp.witnesses_of(es[0], es[1]):
-            raise RuntimeError(
-                f"uncovered edges {es[0]} and {es[1]} share witness {v}; matching bug"
-            )
-
-    used: set[int] = set()
-    runs: list[_Run] = []
-    for start in sorted(v for v, es in at.items() if len(es) % 2 == 1):
-        es = [e for e in at[start] if e not in used]
-        if es:  # empty when this is the far end of a traced path
-            runs.append(_trace(g, at, used, start, es[0]))
-    for start in sorted(at):
-        es = [e for e in at[start] if e not in used]
-        if es:
-            es.sort(key=lambda e: (g.other_end(e, start), e))
-            runs.append(_trace(g, at, used, start, es[0]))
-    return runs
-
-
 def matching_to_orientation(g: Multigraph, lp: LPrimeGraph, m: Matching) -> EoResult:
-    """Matched pairs into their smallest witness, leftovers traversed forward.
+    """Matched pairs into their smallest witness, slot-matched edges into their slot.
 
-    Node e below g.edge_count is edge e. A matching of the pair route's
-    slot graph also covers slot nodes: node edge_count + v is vertex v's
-    slot, and an edge matched to it points into v. Any later node
-    carries no edge and is skipped.
+    Node e below g.edge_count is edge e, and node edge_count + v is
+    vertex v's slot: an edge matched to it points into v. Any later node
+    carries no edge and is skipped. Every edge node must be covered.
 
-    Every slot-matched or uncovered edge contributes one odd vertex, and
-    all these heads are distinct, so t counts them. The result violates
-    no conflict: a matched pair arrives only at a witness, a slot takes
-    one edge, and an uncovered pair meeting at a conflict vertex never
-    both point there because traversal gives them one head each.
+    Every slot-matched edge contributes one odd vertex, and all these
+    heads are distinct, so t counts them. The result violates no
+    conflict: a matched pair arrives only at a witness, and a slot takes
+    one edge.
     """
     ne = g.edge_count
     if len(m.mate) < ne:
         raise InvalidInstanceError("matching is over a different node set")
+    if -1 in m.mate[:ne]:
+        raise InvalidInstanceError(f"edge {m.mate.index(-1)} is not covered by the matching")
     heads = [-1] * ne
     odd: list[int] = []
     for a, b in m.pairs():
@@ -239,12 +179,6 @@ def matching_to_orientation(g: Multigraph, lp: LPrimeGraph, m: Matching) -> EoRe
         if not ws:
             raise InvalidInstanceError(f"matched pair ({a}, {b}) is not a link")
         heads[a] = heads[b] = min(ws)
-    for run in _decompose_estar(g, lp, [e for e in range(ne) if m.mate[e] == -1]):
-        for e, h in zip(run.edges, run.walk[1:]):
-            heads[e] = h
-        odd.extend(run.walk[1:])
-    if len(odd) != len(set(odd)):
-        raise RuntimeError("uncovered-edge heads collide")
     return EoResult(Orientation(tuple(heads)), tuple(sorted(odd)))
 
 
@@ -252,15 +186,19 @@ def solve_eo_2dec(inst: Instance) -> EoResult:
     """Fewest odd vertices subject to disjoint exact conflict pairs.
 
     The parity map must be empty or all zeros; this solver evens out
-    every vertex it can. Forced edges are rejected, contract them away
-    first.
+    every vertex it can, as solve_pco_2dec does with every target 0.
+    Forced edges are rejected, contract them away first.
     """
+    require_valid(inst)
     if any(p != 0 for p in inst.parity.values()):
         raise InvalidInstanceError("even-orientation solver requires an all-even parity map")
     if inst.forced:
         raise InvalidInstanceError("even-orientation solver takes no forced edges")
-    lp = build_lprime(inst.graph, inst.conflicts)
-    return matching_to_orientation(inst.graph, lp, max_matching(lp.simple()))
+    n = inst.graph.vertex_count
+    er = solve_pco_2dec(replace(inst, parity=dict.fromkeys(range(n), 0)))
+    if er is None:
+        raise RuntimeError("the pair route found no orientation without forced edges")
+    return EoResult(er.orientation, er.odd_vertices)
 
 
 def _slot_graph(inst: Instance, lp: LPrimeGraph) -> tuple[SimpleGraph, list[list[int]]]:
@@ -299,6 +237,7 @@ def solve_pco_2dec(inst: Instance) -> EoResult | None:
     The contracted instance is solved by one matching in its slot graph
     (see the module docstring), read off by matching_to_orientation.
     """
+    require_valid(inst)
     for i, c in enumerate(inst.conflicts):
         if c.kind is not ConflictKind.EXACT or c.size != 2:
             raise InvalidInstanceError(f"conflict {i} is not an exact pair")
@@ -343,6 +282,7 @@ def solve_pco_dec(inst: Instance) -> PcoResult:
     instance is infeasible. Single-edge exact conflicts are rejected as
     unsupported; the problem with them is open.
     """
+    require_valid(inst)
     for i, c in enumerate(inst.conflicts):
         if c.kind is not ConflictKind.EXACT:
             raise InvalidInstanceError(f"conflict {i} is not exact")
@@ -366,8 +306,8 @@ def solve_pco_dec(inst: Instance) -> PcoResult:
     if not con.instance.conflicts:
         return _decide_plain(inst, con)
     red, rmap = pco_dec_to_eo_2dec(con.instance)
-    er = solve_eo_2dec(red)
-    if er.t != 0:
+    er = solve_pco_2dec(red)
+    if er is None or er.odd_vertices:
         return PcoResult(False, None, 0)
     o = expand_orientation(con, pull_back(er.orientation, rmap))
     if not verify(inst, o).ok:
@@ -377,6 +317,7 @@ def solve_pco_dec(inst: Instance) -> PcoResult:
 
 def solve_pco_dsc(inst: Instance) -> PcoResult:
     """Parity decision with pairwise disjoint subset conflicts."""
+    require_valid(inst)
     for i, c in enumerate(inst.conflicts):
         if c.kind is not ConflictKind.SUBSET:
             raise InvalidInstanceError(f"conflict {i} is not a subset conflict")
@@ -392,8 +333,8 @@ def solve_pco_dsc(inst: Instance) -> PcoResult:
         return _decide_plain(inst, con)
     eo1, r1 = pco_to_eo(con.instance, conflict_mode="subset")
     red, r2 = eo_dsc_to_eo_2dec(eo1)
-    er = solve_eo_2dec(red)
-    if er.t != 0:
+    er = solve_pco_2dec(red)
+    if er is None or er.odd_vertices:
         return PcoResult(False, None, 0)
     o = expand_orientation(con, pull_back(pull_back(er.orientation, r2), r1))
     if not verify(inst, o).ok:

@@ -4,7 +4,9 @@ The conflict-filtered line graphs this feeds on contain odd cycles, so
 bipartite tricks do not apply; this is the classical Edmonds approach
 with contracted blossoms tracked through a base array. A greedy pass
 seeds the matching, then one alternating-tree search per remaining
-exposed node either augments or proves the node hopeless.
+exposed node either augments or proves the node hopeless. A search
+reads and resets only the nodes its tree reaches, so its cost follows
+those nodes, not the size of the graph.
 
 Nodes may join in rounds. Covered nodes stay covered through every
 later augmentation, so the rounds decide which nodes a maximum matching
@@ -112,31 +114,39 @@ class _Matcher:
         return self.match
 
     def _lca(self, a: int, b: int) -> int:
-        on_path = [False] * self.n
+        on_path: set[int] = set()
         while True:
             a = self.base[a]
-            on_path[a] = True
+            on_path.add(a)
             if self.match[a] == -1:
                 break
             a = self.parent[self.match[a]]
         while True:
             b = self.base[b]
-            if on_path[b]:
+            if b in on_path:
                 return b
             b = self.parent[self.match[b]]
 
-    def _mark_path(self, v: int, b: int, child: int, in_blossom: list[bool]) -> None:
+    def _mark_path(self, v: int, b: int, child: int, in_blossom: set[int]) -> None:
         while self.base[v] != b:
-            in_blossom[self.base[v]] = True
-            in_blossom[self.base[self.match[v]]] = True
+            in_blossom.add(self.base[v])
+            in_blossom.add(self.base[self.match[v]])
             self.parent[v] = child
             child = self.match[v]
             v = self.parent[child]
 
     def _find_path(self, root: int) -> bool:
-        self.parent = [-1] * self.n
-        self.base = list(range(self.n))
-        self.in_queue = [False] * self.n
+        # Only tree nodes get a parent, a queue mark or a new base; they
+        # are recorded once each and reset on return.
+        touched = [root]
+        found = self._search(root, touched)
+        for v in touched:
+            self.parent[v] = -1
+            self.base[v] = v
+            self.in_queue[v] = False
+        return found
+
+    def _search(self, root: int, touched: list[int]) -> bool:
         self.in_queue[root] = True
         queue = deque([root])
         while queue:
@@ -147,22 +157,24 @@ class _Matcher:
                 if to == root or (self.match[to] != -1 and self.parent[self.match[to]] != -1):
                     # Odd cycle: contract the blossom to its stem base.
                     curbase = self._lca(v, to)
-                    in_blossom = [False] * self.n
+                    in_blossom: set[int] = set()
                     self._mark_path(v, curbase, to, in_blossom)
                     self._mark_path(to, curbase, v, in_blossom)
-                    for i in range(self.n):
-                        if in_blossom[self.base[i]]:
-                            self.base[i] = curbase
-                            if not self.in_queue[i]:
-                                self.in_queue[i] = True
-                                queue.append(i)
+                    # Members relabel in id order, which fixes the queue order.
+                    for i in sorted(i for i in touched if self.base[i] in in_blossom):
+                        self.base[i] = curbase
+                        if not self.in_queue[i]:
+                            self.in_queue[i] = True
+                            queue.append(i)
                 elif self.parent[to] == -1:
                     self.parent[to] = v
+                    touched.append(to)
                     if self.match[to] == -1:
                         self._augment(to)
                         return True
                     if not self.in_queue[self.match[to]]:
                         self.in_queue[self.match[to]] = True
+                        touched.append(self.match[to])
                         queue.append(self.match[to])
         return False
 

@@ -22,6 +22,7 @@ from pcorient import (
 from pcorient.eo2dec import matching_to_orientation
 from pcorient.errors import InvalidInstanceError, UnsupportedError
 from pcorient.matching import Matching
+from pcorient.oracle import decide_feasible
 
 from util import (
     cycle_edges,
@@ -29,6 +30,7 @@ from util import (
     exact,
     inst,
     path_edges,
+    rand_disjoint_conflicts,
     rand_disjoint_pairs,
     rand_forced,
     rand_graph,
@@ -85,12 +87,13 @@ def test_matching_to_orientation_perfect_on_c4():
     assert er.orientation.indegrees(g) == [0, 2, 0, 2]
 
 
-def test_matching_to_orientation_empty_matching_spreads_heads():
+def test_matching_to_orientation_rejects_an_uncovered_edge():
     i = inst(3, P3, conflicts=(exact(1, 0, 1),))
-    er = matching_to_orientation(i.graph, lp_of(i), Matching((-1, -1)))
-    assert er.t == 2
-    assert len(set(er.orientation.heads)) == 2
-    assert verify(i, er.orientation).conflict_violations == ()
+    with pytest.raises(InvalidInstanceError):
+        matching_to_orientation(i.graph, lp_of(i), Matching((-1, -1)))
+    # Edge 1 is matched to vertex 2's slot, edge 0 is left exposed.
+    with pytest.raises(InvalidInstanceError):
+        matching_to_orientation(i.graph, lp_of(i), Matching((-1, 4, -1, -1, 1)))
 
 
 def test_matching_to_orientation_routes_around_two_conflicts():
@@ -128,18 +131,19 @@ def test_solve_eo_2dec_conflicted_path():
 
 
 def test_solve_eo_2dec_matches_oracle_min_odd():
-    rng = Random(2025)
-    for _ in range(120):
-        g = rand_graph(rng, nmax=6, mmax=10)
-        i = Instance(g, {}, rand_disjoint_pairs(rng, g))
+    for seed in range(3000):
+        rng = Random(seed)
+        g = rand_graph(rng, nmax=7, mmax=13)
+        i = Instance(g, {}, rand_disjoint_pairs(rng, g, max_count=4))
         er = solve_eo_2dec(i)
         want = enumerate_best(i).min_odd_vertices
-        assert er.t == want, f"t={er.t} oracle={want} on {i}"
+        assert er.t == want, f"seed {seed}: t={er.t} oracle={want} on {i}"
         assert er.t % 2 == g.edge_count % 2
-        assert verify(i, er.orientation).conflict_violations == ()
-        assert sorted(er.odd_vertices) == [
+        assert er.satisfied is None
+        assert verify(i, er.orientation).conflict_violations == (), f"seed {seed}"
+        assert er.odd_vertices == tuple(
             v for v, d in enumerate(er.orientation.indegrees(g)) if d % 2
-        ]
+        ), f"seed {seed}"
 
 
 def test_solve_pco_2dec_path_decision():
@@ -267,6 +271,33 @@ def test_solve_pco_dsc_matches_oracle_decision():
             checked += 1
             assert verify(i, got.orientation).ok
     assert checked > 20
+
+
+@pytest.mark.parametrize(
+    "kind, solver",
+    [(ConflictKind.EXACT, solve_pco_dec), (ConflictKind.SUBSET, solve_pco_dsc)],
+    ids=["exact", "subset"],
+)
+def test_decision_routes_match_oracle_on_larger_disjoint_conflicts(kind, solver):
+    checked = larger = feasible = 0
+    for seed in range(1500):
+        rng = Random(seed)
+        g = rand_graph(rng, nmax=6, mmax=12)
+        conflicts = rand_disjoint_conflicts(rng, g, kind, max_count=3, max_size=4)
+        forced = rand_forced(rng, g, frac=0.2) if rng.random() < 1 / 3 else {}
+        i = Instance(g, rand_parity(rng, g.vertex_count), conflicts, forced)
+        try:
+            got = solver(i)
+        except UnsupportedError:
+            continue
+        checked += 1
+        larger += any(c.size > 2 for c in conflicts)
+        assert got.feasible == (decide_feasible(i) is not None), f"seed {seed}: {i}"
+        if got.feasible:
+            feasible += 1
+            assert verify(i, got.orientation).ok, f"seed {seed}"
+    assert checked > 1400 and larger > 500, (checked, larger)
+    assert feasible > 700 and checked - feasible > 300, (checked, feasible)
 
 
 def test_solve_pco_dsc_rejects_exact_kind():

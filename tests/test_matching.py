@@ -7,7 +7,7 @@ from random import Random
 
 import pytest
 
-from pcorient.matching import SimpleGraph, max_matching
+from pcorient.matching import SimpleGraph, _Matcher, max_matching
 
 from util import brute_matching_size, cycle_edges, random_links
 
@@ -130,3 +130,31 @@ def test_rounds_must_partition_the_nodes():
         max_matching(g, [(0, 1)])
     with pytest.raises(ValueError):
         max_matching(g, [(0, 1), (1, 2)])
+
+
+def test_search_state_is_back_to_its_initial_values_after_a_run(monkeypatch):
+    def assert_clean(m: _Matcher) -> None:
+        assert m.parent == [-1] * m.n
+        assert m.base == list(range(m.n))
+        assert m.in_queue == [False] * m.n
+
+    # Checked after every search too: a stale base can hang the next one.
+    find_path = _Matcher._find_path
+
+    def checked(self: _Matcher, root: int) -> bool:
+        found = find_path(self, root)
+        assert_clean(self)
+        return found
+
+    monkeypatch.setattr(_Matcher, "_find_path", checked)
+    rng = Random(79)
+    for _ in range(300):
+        n = rng.randint(2, 30)
+        links = random_links(rng, n, rng.choice((0.1, 0.2, 0.4)))
+        nodes = list(range(n))
+        rng.shuffle(nodes)
+        cut = sorted(rng.sample(range(n + 1), 2))
+        rounds = [nodes[: cut[0]], nodes[cut[0] : cut[1]], nodes[cut[1] :]]
+        m = _Matcher(SimpleGraph(n, tuple(links)), rounds)
+        m.run()
+        assert_clean(m)

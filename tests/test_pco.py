@@ -7,15 +7,14 @@ from random import Random
 import pytest
 from hypothesis import given, settings
 
+import pcorient
 from pcorient import (
     Instance,
     Multigraph,
     components,
     enumerate_best,
     solve_pco,
-    solve_pco_ec_fpt,
     solve_pco_max,
-    solve_pco_sc_fpt,
     verify,
 )
 from pcorient.errors import InvalidInstanceError
@@ -49,7 +48,7 @@ def test_conflicts_are_rejected():
         solve_pco(i)
 
 
-@pytest.mark.parametrize("solver", [solve_pco, solve_pco_max, solve_pco_ec_fpt, solve_pco_sc_fpt])
+@pytest.mark.parametrize("solver", sorted(n for n in pcorient.__all__ if n.startswith("solve_")))
 @pytest.mark.parametrize(
     "bad",
     [
@@ -62,7 +61,7 @@ def test_conflicts_are_rejected():
 )
 def test_malformed_instances_are_rejected_at_entry(solver, bad):
     with pytest.raises(InvalidInstanceError):
-        solver(bad)
+        getattr(pcorient, solver)(bad)
 
 
 def test_forced_edges_are_respected():

@@ -116,6 +116,29 @@ def rand_disjoint_pairs(rng: Random, g: Multigraph, max_count: int = 3) -> tuple
     return tuple(out)
 
 
+def rand_disjoint_conflicts(
+    rng: Random,
+    g: Multigraph,
+    kind: ConflictKind,
+    max_count: int = 3,
+    max_size: int = 4,
+) -> tuple[Conflict, ...]:
+    """Pairwise disjoint conflicts of one kind and size 2..max_size; a vertex may host several."""
+    out: list[Conflict] = []
+    want = rng.randint(0, max_count)
+    verts = list(range(g.vertex_count))
+    rng.shuffle(verts)
+    for v in verts:
+        avail = list(g.incident(v))
+        while len(out) < want and len(avail) >= 2:
+            members = rng.sample(avail, rng.randint(2, min(max_size, len(avail))))
+            out.append(Conflict(v, frozenset(members), kind))
+            avail = [e for e in avail if e not in members]
+            if rng.random() >= 0.3:
+                break
+    return tuple(out)
+
+
 def random_regular_multigraph(rng: Random, n: int, degree: int) -> Multigraph:
     """Configuration model; parallels kept, pairings with self-loops redrawn."""
     stubs = [v for v in range(n) for _ in range(degree)]
