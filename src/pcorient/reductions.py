@@ -10,13 +10,16 @@ back to the original edge set:
   edges soak up their parity freedom.
 * ``pco_dec_to_eo_2dec``: disjoint exact conflicts of any size down to
   conflict pairs, routing each conflict of size three or more through a
-  switching network (see switching.py).
+  switching network (see switching.py). An unconstrained vertex stays
+  unconstrained, so no hub is needed.
 * ``eo_dsc_to_eo_2dec``: disjoint subset conflicts down to conflict
   pairs via a fan gadget that re-attaches the conflict edges to arm
   vertices and detects the all-inward pattern at a hub.
 
-All gadget vertices are even-constrained, so the reduced instances are
-plain even-orientation instances. Construction order is fixed (vertices
+Gadget vertices are even-constrained, with one exception:
+pco_dec_to_eo_2dec leaves the inner path vertex of an unconstrained
+vertex without a target, which the pair route takes as it is. The other
+two return all-even instances. Construction order is fixed (vertices
 in original order, conflicts in list order, members by edge id) so a
 given input always produces the identical reduced instance.
 """
@@ -174,7 +177,7 @@ def pco_dec_to_eo_2dec(inst: Instance) -> tuple[Instance, ReductionMap]:
     Every original vertex v becomes a two- or three-vertex path: plain
     edges re-attach to the outer path vertex, and the inner one carries
     the parity bookkeeping (a third, pendant vertex when v wants even
-    indegree; a shared hub edge when v is unconstrained). Conflicts of
+    indegree; no target at all when v is unconstrained). Conflicts of
     size k >= 3 route their members through a width-k switching network
     whose first two outputs land on the outer path vertex as a conflict
     pair and whose remaining k-2 outputs land on the inner one; network
@@ -200,7 +203,7 @@ def pco_dec_to_eo_2dec(inst: Instance) -> tuple[Instance, ReductionMap]:
     inner = []
     for v in range(n):
         v1 = b.add_vertex(0)
-        v2 = b.add_vertex(0)
+        v2 = b.add_vertex(0 if v in inst.parity else None)
         outer.append(v1)
         inner.append(v2)
         new_vertices.append((v1, "path-outer"))
@@ -210,22 +213,6 @@ def pco_dec_to_eo_2dec(inst: Instance) -> tuple[Instance, ReductionMap]:
             new_vertices.append((v3, "path-cap"))
     # Recover cap ids without a second list: they follow their v2.
     caps = {v: inner[v] + 1 for v in range(n) if inst.parity.get(v) == 0}
-
-    unconstrained = [v for v in range(n) if v not in inst.parity]
-    # Total reduced edge count is m + #odd-constrained (mod 2): networks
-    # and the per-vertex gadgets all contribute evenly. An odd total
-    # would make the hub's component infeasible outright, so a pendant
-    # evens it up. Without a hub an odd total means some all-constrained
-    # component was infeasible already, faithfully preserved.
-    odd_total = (len(g.edges) + sum(inst.parity.values())) % 2 == 1
-    hub = None
-    hub_pendant = None
-    if unconstrained:
-        hub = b.add_vertex(0)
-        new_vertices.append((hub, "float-hub"))
-        if odd_total:
-            hub_pendant = b.add_vertex(0)
-            new_vertices.append((hub_pendant, "float-hub-pendant"))
 
     # Networks for the big conflicts; their input edges are the original
     # edge images, created afterwards.
@@ -267,13 +254,6 @@ def pco_dec_to_eo_2dec(inst: Instance) -> tuple[Instance, ReductionMap]:
         if v in caps:
             e = b.add_edge(inner[v], caps[v])
             new_edges.append((e, "path-cap-edge"))
-    if hub is not None:
-        for v in unconstrained:
-            e = b.add_edge(inner[v], hub)
-            new_edges.append((e, "float-hub-edge"))
-        if hub_pendant is not None:
-            e = b.add_edge(hub, hub_pendant)
-            new_edges.append((e, "float-hub-pendant-edge"))
 
     for c in inst.conflicts:
         if c.size == 2:

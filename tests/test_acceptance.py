@@ -47,6 +47,7 @@ from util import (
     even_parity,
     exact,
     inst,
+    link_graph,
     multigraphs_4v,
     rand_conflicts,
     rand_disjoint_pairs,
@@ -86,7 +87,7 @@ def test_criterion_2_pair_conflicts_reduce_to_link_matching():
         t = solve_eo_2dec(i).t
         truth = enumerate_best(i)
         lp = build_lprime(g, pairs)
-        sg = lp.simple()
+        sg = link_graph(lp)
         uncovered = sg.node_count - 2 * brute_matching_size(sg.node_count, sg.links)
         assert t == truth.min_odd_vertices == uncovered, f"trial {trial}: {i}"
 
@@ -309,7 +310,7 @@ def _battery_transcript() -> str:
                     emit(f"pco-2dec {name}", solve_pco_2dec(i))
                     emit(f"pco-dec {name}", solve_pco_dec(i))
                     lp = build_lprime(i.graph, i.conflicts)
-                    emit(f"matching {name}", max_matching(lp.simple()).mate)
+                    emit(f"matching {name}", max_matching(link_graph(lp)).mate)
             if kinds == {ConflictKind.SUBSET}:
                 emit(f"sc-fpt {name}", solve_pco_sc_fpt(i))
                 if i.pairwise_disjoint() and all(c.size >= 2 for c in i.conflicts):

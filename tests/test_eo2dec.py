@@ -19,7 +19,7 @@ from pcorient import (
     solve_pco_dsc,
     verify,
 )
-from pcorient.eo2dec import matching_to_orientation
+from pcorient.eo2dec import _slot_graph, matching_to_orientation
 from pcorient.errors import InvalidInstanceError, UnsupportedError
 from pcorient.matching import Matching
 from pcorient.oracle import decide_feasible
@@ -30,6 +30,7 @@ from util import (
     exact,
     inst,
     path_edges,
+    planted_instance,
     rand_disjoint_conflicts,
     rand_disjoint_pairs,
     rand_forced,
@@ -188,12 +189,13 @@ def test_solve_pco_2dec_rejects_overlap_and_odd_sizes():
         solve_pco_2dec(inst(4, g4, conflicts=(exact(1, 0, 1, 2),)))
 
 
-def test_solve_pco_2dec_maximizes_satisfied_parities():
+@pytest.mark.parametrize("density", [0.3, 0.5, 0.7])
+def test_solve_pco_2dec_maximizes_satisfied_parities(density):
     checked = 0
     for seed in range(3000):
         rng = Random(seed)
         g = rand_graph(rng, nmax=7, mmax=13)
-        parity = rand_parity(rng, g.vertex_count)
+        parity = rand_parity(rng, g.vertex_count, density)
         pairs = rand_disjoint_pairs(rng, g, max_count=4)
         i = Instance(g, parity, pairs, rand_forced(rng, g, frac=0.2))
         try:
@@ -210,6 +212,35 @@ def test_solve_pco_2dec_maximizes_satisfied_parities():
         assert rep.conflict_violations == (), f"seed {seed}"
         assert er.satisfied == len(i.parity) - len(rep.parity_violations)
     assert checked > 2000
+
+
+def test_slot_graph_free_vertex_gadget_is_linear():
+    g = Multigraph(6, tuple(cycle_edges(6)) + ((0, 3), (1, 4)))
+    for parity in ({0: 1, 1: 0, 2: 0, 3: 1, 4: 0, 5: 1}, {0: 1, 2: 0, 4: 0}, {}):
+        i = Instance(g, parity)
+        u = g.vertex_count - len(parity)
+        base = g.edge_count + g.vertex_count + sum(p == 0 for p in parity.values())
+        sg, rounds = _slot_graph(i, build_lprime(g, ()))
+        assert sg.node_count - base == 2 * u + 1
+        assert sum(b >= base for _, b in sg.links) == 4 * u
+        assert rounds[-1] == [sg.node_count - 1]
+        degree = [0] * sg.node_count
+        for a, b in sg.links:
+            degree[a] += 1
+            degree[b] += 1
+        assert max(degree[base:]) <= 3
+
+
+@pytest.mark.parametrize(
+    "max_size, solve", [(2, solve_pco_2dec), (4, solve_pco_dec)], ids=["pco-2dec", "pco-dec"]
+)
+def test_free_vertices_meet_every_planted_target_at_scale(max_size, solve):
+    # Too large for the oracle; the planted orientation makes the optimum "all".
+    for seed in range(40):
+        i = planted_instance(Random(seed), max_size, density=0.3)
+        got = solve(i)
+        assert got.satisfied == len(i.parity), f"seed {seed}"
+        assert verify(i, got.orientation).ok, f"seed {seed}"
 
 
 @pytest.mark.parametrize(
@@ -279,25 +310,28 @@ def test_solve_pco_dsc_matches_oracle_decision():
     ids=["exact", "subset"],
 )
 def test_decision_routes_match_oracle_on_larger_disjoint_conflicts(kind, solver):
-    checked = larger = feasible = 0
-    for seed in range(1500):
-        rng = Random(seed)
-        g = rand_graph(rng, nmax=6, mmax=12)
-        conflicts = rand_disjoint_conflicts(rng, g, kind, max_count=3, max_size=4)
-        forced = rand_forced(rng, g, frac=0.2) if rng.random() < 1 / 3 else {}
-        i = Instance(g, rand_parity(rng, g.vertex_count), conflicts, forced)
-        try:
-            got = solver(i)
-        except UnsupportedError:
-            continue
-        checked += 1
-        larger += any(c.size > 2 for c in conflicts)
-        assert got.feasible == (decide_feasible(i) is not None), f"seed {seed}: {i}"
-        if got.feasible:
-            feasible += 1
-            assert verify(i, got.orientation).ok, f"seed {seed}"
-    assert checked > 1400 and larger > 500, (checked, larger)
-    assert feasible > 700 and checked - feasible > 300, (checked, feasible)
+    # At density 0.3 most vertices are free, and free vertices make fewer
+    # draws infeasible.
+    for density, min_infeasible in ((0.7, 300), (0.3, 100)):
+        checked = larger = feasible = 0
+        for seed in range(1500):
+            rng = Random(seed)
+            g = rand_graph(rng, nmax=6, mmax=12)
+            conflicts = rand_disjoint_conflicts(rng, g, kind, max_count=3, max_size=4)
+            forced = rand_forced(rng, g, frac=0.2) if rng.random() < 1 / 3 else {}
+            i = Instance(g, rand_parity(rng, g.vertex_count, density), conflicts, forced)
+            try:
+                got = solver(i)
+            except UnsupportedError:
+                continue
+            checked += 1
+            larger += any(c.size > 2 for c in conflicts)
+            assert got.feasible == (decide_feasible(i) is not None), f"seed {seed}: {i}"
+            if got.feasible:
+                feasible += 1
+                assert verify(i, got.orientation).ok, f"seed {seed}"
+        assert checked > 1400 and larger > 500, (density, checked, larger)
+        assert feasible > 700 and checked - feasible > min_infeasible, (density, checked, feasible)
 
 
 def test_solve_pco_dsc_rejects_exact_kind():

@@ -87,6 +87,19 @@ def test_dec_reduction_pair_only_uses_no_networks():
     assert len(red.conflicts) == 1
 
 
+def test_dec_reduction_leaves_free_vertices_free():
+    g = [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 3)]
+    conflicts = (exact(0, 0, 3, 4), exact(2, 1, 2))
+    sizes = set()
+    for parity in ({0: 1, 1: 1, 2: 1, 3: 1}, {0: 1, 2: 1}, {}):
+        red, rmap = pco_dec_to_eo_2dec(inst(4, g, parity, conflicts))
+        tags = {t for _, t in rmap.new_vertices + rmap.new_edges}
+        assert not any(t.startswith("float-hub") for t in tags)
+        assert red.graph.vertex_count - len(red.parity) == 4 - len(parity)
+        sizes.add(red.graph.edge_count)
+    assert len(sizes) == 1
+
+
 def test_dec_reduction_size_six_conflict_gets_one_network():
     edges = [(0, v) for v in range(1, 7)]
     i = inst(7, edges, even_parity(7), conflicts=(exact(0, *range(6)),))

@@ -15,9 +15,12 @@ from pcorient import (
     Orientation,
     PcoResult,
     solve_pco,
+    verify,
 )
 from pcorient.core import Component
+from pcorient.eo2dec import LPrimeGraph
 from pcorient.fpt import _choices, _discharged, _merge
+from pcorient.matching import SimpleGraph
 
 
 def inst(
@@ -139,6 +142,22 @@ def rand_disjoint_conflicts(
     return tuple(out)
 
 
+def planted_instance(rng: Random, max_size: int, density: float) -> Instance:
+    """20-60 vertices whose targets and exact conflicts a random orientation meets.
+
+    Targets come from that orientation's indegree parities, and a drawn
+    conflict is kept only when the orientation avoids it, so the optimum
+    meets every target.
+    """
+    g = rand_graph(rng, nmin=20, nmax=60, mmin=40, mmax=150)
+    heads = tuple(rng.choice(ends) for ends in g.edges)
+    parity = {v: heads.count(v) % 2 for v in range(g.vertex_count) if rng.random() < density}
+    drawn = rand_disjoint_conflicts(rng, g, ConflictKind.EXACT, max_count=g.vertex_count, max_size=max_size)
+    o = Orientation(heads)
+    kept = tuple(c for c in drawn if not verify(Instance(g, {}, (c,)), o).conflict_violations)
+    return Instance(g, parity, kept)
+
+
 def random_regular_multigraph(rng: Random, n: int, degree: int) -> Multigraph:
     """Configuration model; parallels kept, pairings with self-loops redrawn."""
     stubs = [v for v in range(n) for _ in range(degree)]
@@ -151,6 +170,11 @@ def random_regular_multigraph(rng: Random, n: int, degree: int) -> Multigraph:
 
 def random_links(rng: Random, n: int, p: float) -> list[tuple[int, int]]:
     return [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+
+
+def link_graph(lp: LPrimeGraph) -> SimpleGraph:
+    """The bare link graph of lp: one node per edge, no slots."""
+    return SimpleGraph(lp.node_count, tuple((l.e1, l.e2) for l in lp.links))
 
 
 # --- brute-force baselines --------------------------------------------------
