@@ -111,7 +111,7 @@ def build_lprime(g: Multigraph, conflicts: Sequence[Conflict]) -> LPrimeGraph:
     two. Conflicts must be exact pairs, pairwise disjoint, and incident
     to their vertex.
     """
-    barred: set[tuple[int, frozenset[int]]] = set()
+    barred: dict[int, set[tuple[int, ...]]] = defaultdict(set)
     taken: dict[int, set[int]] = defaultdict(set)
     for i, c in enumerate(conflicts):
         if c.kind is not ConflictKind.EXACT or c.size != 2:
@@ -124,13 +124,16 @@ def build_lprime(g: Multigraph, conflicts: Sequence[Conflict]) -> LPrimeGraph:
         if taken[c.vertex] & c.edges:
             raise InvalidInstanceError(f"conflict {i} overlaps another at vertex {c.vertex}")
         taken[c.vertex] |= c.edges
-        barred.add((c.vertex, frozenset(c.edges)))
+        barred[c.vertex].add(tuple(sorted(c.edges)))
 
-    witness: dict[tuple[int, int], set[int]] = defaultdict(set)
+    # incident() lists ids in increasing order, so every pair below is
+    # sorted as the barred ones are.
+    witness: dict[tuple[int, ...], list[int]] = defaultdict(list)
     for v in range(g.vertex_count):
-        for a, b in combinations(g.incident(v), 2):
-            if (v, frozenset((a, b))) not in barred:
-                witness[a, b].add(v)
+        bar = barred.get(v, ())
+        for pair in combinations(g.incident(v), 2):
+            if pair not in bar:
+                witness[pair].append(v)
     links = tuple(LpLink(a, b, frozenset(ws)) for (a, b), ws in sorted(witness.items()))
     return LPrimeGraph(g.edge_count, links)
 

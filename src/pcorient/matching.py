@@ -6,7 +6,13 @@ with contracted blossoms tracked through a base array. A greedy pass
 seeds the matching, then one alternating-tree search per remaining
 exposed node either augments or proves the node hopeless. A search
 reads and resets only the nodes its tree reaches, so its cost follows
-those nodes, not the size of the graph.
+those nodes, not the size of the graph. Each blossom base keeps a list
+of the nodes it is the base of. A contraction sorts the nodes on the
+lists of the bases it absorbs into id order, relabels them, and appends
+them to the new base's list, so it costs O(k log k) for the k nodes
+that move, not time in the size of the tree. Id order is also what a
+scan of the whole tree gives, so the queue order, and with it every
+matching, is the same as with such a scan.
 
 Nodes may join in rounds. Covered nodes stay covered through every
 later augmentation, so the rounds decide which nodes a maximum matching
@@ -17,6 +23,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Sequence
 
 
@@ -28,18 +35,17 @@ class SimpleGraph:
     links: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        seen = set()
-        canon = []
-        for u, v in self.links:
+        # Sorting before dropping repeats keeps the input's sorted runs,
+        # which make the sort cheap, and needs no hash table.
+        pairs = [(u, v) if u < v else (v, u) for u, v in self.links]
+        pairs.sort()
+        canon = [p for p, _ in groupby(pairs)]
+        for u, v in canon:
             if u == v:
                 raise ValueError(f"self-link at node {u}")
-            if not (0 <= u < self.node_count and 0 <= v < self.node_count):
+            if u < 0 or v >= self.node_count:
                 raise ValueError(f"link {u, v} outside 0..{self.node_count - 1}")
-            pair = (u, v) if u < v else (v, u)
-            if pair not in seen:
-                seen.add(pair)
-                canon.append(pair)
-        object.__setattr__(self, "links", tuple(sorted(canon)))
+        object.__setattr__(self, "links", tuple(canon))
 
 
 @dataclass(frozen=True)
@@ -80,6 +86,9 @@ class _Matcher:
         self.parent = [-1] * self.n
         self.base = list(range(self.n))
         self.in_queue = [False] * self.n
+        # Nodes of each contracted blossom, by base, in no set order; a
+        # base not listed stands alone.
+        self.members: dict[int, list[int]] = {}
 
     def run(self) -> list[int]:
         joined: list[int] = []
@@ -144,6 +153,7 @@ class _Matcher:
             self.parent[v] = -1
             self.base[v] = v
             self.in_queue[v] = False
+        self.members.clear()
         return found
 
     def _search(self, root: int, touched: list[int]) -> bool:
@@ -160,12 +170,7 @@ class _Matcher:
                     in_blossom: set[int] = set()
                     self._mark_path(v, curbase, to, in_blossom)
                     self._mark_path(to, curbase, v, in_blossom)
-                    # Members relabel in id order, which fixes the queue order.
-                    for i in sorted(i for i in touched if self.base[i] in in_blossom):
-                        self.base[i] = curbase
-                        if not self.in_queue[i]:
-                            self.in_queue[i] = True
-                            queue.append(i)
+                    self._shrink(curbase, in_blossom, queue)
                 elif self.parent[to] == -1:
                     self.parent[to] = v
                     touched.append(to)
@@ -177,6 +182,19 @@ class _Matcher:
                         touched.append(self.match[to])
                         queue.append(self.match[to])
         return False
+
+    def _shrink(self, curbase: int, in_blossom: set[int], queue: deque[int]) -> None:
+        # The nodes of the absorbed blossoms move to curbase in id order,
+        # which fixes the queue order. _mark_path adds no base of
+        # curbase's own blossom, so curbase keeps its members.
+        members = self.members
+        moved = sorted(i for b in in_blossom for i in members.pop(b, (b,)))
+        for i in moved:
+            self.base[i] = curbase
+            if not self.in_queue[i]:
+                self.in_queue[i] = True
+                queue.append(i)
+        members.setdefault(curbase, [curbase]).extend(moved)
 
     def _augment(self, v: int) -> None:
         while v != -1:

@@ -9,7 +9,7 @@ import pytest
 
 from pcorient.matching import SimpleGraph, _Matcher, max_matching
 
-from util import brute_matching_size, cycle_edges, random_links
+from util import ScanMatcher, brute_matching_size, cycle_edges, random_links
 
 
 def links_of(n: int) -> list[tuple[int, int]]:
@@ -70,6 +70,12 @@ def test_matching_is_node_disjoint_and_symmetric():
 def test_rejects_self_link():
     with pytest.raises(ValueError):
         SimpleGraph(2, ((1, 1),))
+
+
+@pytest.mark.parametrize("link", [(-1, 2), (0, 3)])
+def test_rejects_a_node_outside_the_range(link):
+    with pytest.raises(ValueError, match=r"outside 0\.\.2"):
+        SimpleGraph(3, ((0, 1), link))
 
 
 def test_deduplicates_and_sorts_links():
@@ -137,6 +143,7 @@ def test_search_state_is_back_to_its_initial_values_after_a_run(monkeypatch):
         assert m.parent == [-1] * m.n
         assert m.base == list(range(m.n))
         assert m.in_queue == [False] * m.n
+        assert m.members == {}
 
     # Checked after every search too: a stale base can hang the next one.
     find_path = _Matcher._find_path
@@ -158,3 +165,82 @@ def test_search_state_is_back_to_its_initial_values_after_a_run(monkeypatch):
         m = _Matcher(SimpleGraph(n, tuple(links)), rounds)
         m.run()
         assert_clean(m)
+
+
+def random_rounds(rng: Random, n: int) -> list[list[int]]:
+    """The nodes shuffled and cut into 1 to 4 rounds, some maybe empty."""
+    nodes = list(range(n))
+    rng.shuffle(nodes)
+    cuts = [0, *sorted(rng.randint(0, n) for _ in range(rng.randint(0, 3))), n]
+    return [nodes[a:b] for a, b in zip(cuts, cuts[1:])]
+
+
+def nested_blossoms(rng: Random) -> tuple[int, list[tuple[int, int]]]:
+    """Odd cycles of odd cycles of odd cycles, chained through stems.
+
+    A blossom of depth d is 3 or 5 blossoms of depth d - 1 linked in a
+    ring; 2 to 4 depth-3 blossoms are chained through stems of even
+    length, and one pendant node hangs off the last.
+    """
+    links: list[tuple[int, int]] = []
+    count = 0
+
+    def blossom(depth: int) -> list[int]:
+        nonlocal count
+        if depth == 0:
+            count += 1
+            return [count - 1]
+        parts = [blossom(depth - 1) for _ in range(rng.choice((3, 5)))]
+        for a, b in zip(parts, parts[1:] + parts[:1]):
+            links.append((rng.choice(a), rng.choice(b)))
+        return [v for p in parts for v in p]
+
+    prev = blossom(3)
+    for _ in range(rng.randint(1, 3)):
+        nodes = blossom(3)
+        stem = list(range(count, count + 2 * rng.randint(0, 2)))
+        count += len(stem)
+        chain = [rng.choice(prev), *stem, rng.choice(nodes)]
+        links += zip(chain, chain[1:])
+        prev = nodes
+    links.append((count, rng.choice(prev)))
+    return count + 1, links
+
+
+@pytest.fixture
+def absorbed(monkeypatch) -> list[int]:
+    """Counts the contractions that absorb an earlier blossom, in a
+    one-item list, and checks after each contraction that the new base
+    lists exactly the nodes it is the base of; without that check a wrong
+    list shows as a hang rather than a failure."""
+    count = [0]
+    shrink = _Matcher._shrink
+
+    def checked(self: _Matcher, curbase: int, in_blossom: set[int], queue) -> None:
+        count[0] += any(b in self.members for b in in_blossom)
+        shrink(self, curbase, in_blossom, queue)
+        assert sorted(self.members[curbase]) == [i for i in range(self.n) if self.base[i] == curbase]
+
+    monkeypatch.setattr(_Matcher, "_shrink", checked)
+    return count
+
+
+def test_member_lists_relabel_as_the_touched_scan_does(absorbed):
+    rng = Random(80)
+    for _ in range(400):
+        n = rng.randint(1, 120)
+        links = random_links(rng, n, rng.choice((0.02, 0.05, 0.1, 0.3)))
+        g = SimpleGraph(n, tuple(links))
+        for rounds in ([range(n)], random_rounds(rng, n)):
+            assert max_matching(g, rounds).mate == tuple(ScanMatcher(g, rounds).run())
+
+
+def test_nested_blossoms_relabel_as_the_touched_scan_does(absorbed):
+    rng = Random(81)
+    for _ in range(60):
+        n, links = nested_blossoms(rng)
+        g = SimpleGraph(n, tuple(links))
+        for rounds in ([range(n)], random_rounds(rng, n)):
+            assert max_matching(g, rounds).mate == tuple(ScanMatcher(g, rounds).run())
+    # The family nests: many contractions absorb an earlier blossom.
+    assert absorbed[0] > 100

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import deque
 from functools import lru_cache
 from itertools import product
 from random import Random
@@ -20,7 +21,7 @@ from pcorient import (
 from pcorient.core import Component
 from pcorient.eo2dec import LPrimeGraph
 from pcorient.fpt import _choices, _discharged, _merge
-from pcorient.matching import SimpleGraph
+from pcorient.matching import SimpleGraph, _Matcher
 
 
 def inst(
@@ -178,6 +179,23 @@ def link_graph(lp: LPrimeGraph) -> SimpleGraph:
 
 
 # --- brute-force baselines --------------------------------------------------
+
+
+class ScanMatcher(_Matcher):
+    """Reference for ``_Matcher``'s contraction: the same search, but each
+    blossom relabels by scanning every node the search has touched for a
+    base in the blossom, instead of reading the bases' member lists."""
+
+    def _search(self, root: int, touched: list[int]) -> bool:
+        self.touched = touched
+        return super()._search(root, touched)
+
+    def _shrink(self, curbase: int, in_blossom: set[int], queue: deque[int]) -> None:
+        for i in sorted(i for i in self.touched if self.base[i] in in_blossom):
+            self.base[i] = curbase
+            if not self.in_queue[i]:
+                self.in_queue[i] = True
+                queue.append(i)
 
 
 def brute_matching_size(node_count: int, links: list[tuple[int, int]]) -> int:
