@@ -9,9 +9,12 @@ map merged into the forcings chosen so far; a merge that contradicts them
 prunes the branch. A leaf solution is conflict-free by construction, so a
 leaf is decided by parity alone, from a table built once per solve:
 components of the edges no branch can force, each with its parity sum
-and edge count, joined at a leaf by the branch edges left free. Only the
-first leaf the table passes goes to the base parity solver, for its
-witness.
+and edge count, joined by the branch edges left free. The same table
+cuts at inner nodes: each new forcing map is checked once, with the
+branch edges it leaves unforced taken as free, and forcing more edges
+only removes orientations, so a map that fails parity fails at every
+leaf below it too. Only the first leaf that passes goes to the base
+parity solver, for its witness.
 """
 
 from __future__ import annotations
@@ -125,7 +128,8 @@ def _leaf_table(inst: Instance) -> _LeafTable:
 
 
 def _leaf_feasible(table: _LeafTable, forced: Mapping[EdgeId, VertexId]) -> bool:
-    """``solve_pco``'s verdict on a leaf whose forcings extend ``inst.forced``.
+    """``solve_pco``'s verdict on the conflict-free instance with forcings
+    ``forced``, which extend ``inst.forced`` by branch edges only.
 
     A branch edge left free joins its ends' components and adds one edge;
     a forced one flips its head's parity. A component is feasible when it
@@ -165,17 +169,21 @@ def _branch(inst: Instance) -> PcoResult:
     table = _leaf_table(inst)
 
     def rec(i: int, forced: dict[EdgeId, VertexId]) -> PcoResult | None:
+        """Search below one new forcing map; conflicts from ``i`` on are open."""
         nonlocal leaves
+        # Forcing more edges only removes orientations, so when the map's
+        # free relaxation fails parity, so does every leaf below it.
+        if not _leaf_feasible(table, forced):
+            leaves += i == len(inst.conflicts)
+            return None
+        while i < len(inst.conflicts) and _discharged(g, inst.conflicts[i], forced):
+            i += 1
         if i == len(inst.conflicts):
             leaves += 1
-            if not _leaf_feasible(table, forced):
-                return None
             res = solve_pco(Instance(g, inst.parity, (), forced))
             if not res.feasible:
                 raise RuntimeError("leaf table passed a leaf the base solver rejects")
             return res
-        if _discharged(g, inst.conflicts[i], forced):
-            return rec(i + 1, forced)
         for delta in _choices(g, inst.conflicts[i]):
             nxt = _merge(forced, delta)
             if nxt is None:
@@ -199,10 +207,12 @@ def solve_pco_sc_fpt(inst: Instance) -> PcoResult:
     """Decide a subset-conflict instance; conflicts may overlap freely.
 
     One member of each conflict must point away from its vertex, so the
-    search tries each member in edge-id order, conflicts in input order,
-    and solves the conflict-free remainder per combination. First feasible
-    leaf wins; contradictory forcings prune the subtree. ``branches`` on
-    the result is the number of leaves reached.
+    search tries each member in edge-id order, conflicts in input order.
+    First feasible leaf wins. Contradictory forcings prune a subtree, and
+    so does a forcing map whose conflict-free relaxation already fails
+    parity. ``branches`` on the result is the number of leaves reached: a
+    map made by a choice for the last conflict counts even when it fails
+    parity, while one that fails earlier cuts its leaves unreached.
     """
     require_valid(inst)
     for c in inst.conflicts:
@@ -217,8 +227,8 @@ def solve_pco_ec_fpt(inst: Instance) -> PcoResult:
     Per conflict, either some member points away, or all members point in
     together with one extra incident edge (no such edge means that branch
     dies). Single-member conflicts, which the polynomial routes refuse,
-    need no special case here. Exploration order and the ``branches``
-    field are as in ``solve_pco_sc_fpt``.
+    need no special case here. Exploration order, both cuts and the
+    ``branches`` field are as in ``solve_pco_sc_fpt``.
     """
     require_valid(inst)
     for c in inst.conflicts:

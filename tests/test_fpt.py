@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import time
+from pathlib import Path
 from random import Random
 
 import pytest
 
 import pcorient.fpt
-from pcorient import ConflictKind, Instance, solve_pco, solve_pco_ec_fpt, solve_pco_sc_fpt, verify
+from pcorient import Conflict, ConflictKind, Instance, solve_pco, solve_pco_ec_fpt, solve_pco_sc_fpt, verify
+from pcorient.cli import main
 from pcorient.errors import InvalidInstanceError
 from pcorient.fpt import _leaf_feasible, _leaf_table
+from pcorient.io import parse_instance
 from pcorient.oracle import decide_feasible
 
 from util import (
@@ -169,14 +173,16 @@ def _outcome(res):
     return res.feasible, res.branches, res.orientation.heads if res.feasible else None
 
 
-@pytest.mark.parametrize(
-    "kind, solver",
-    [(ConflictKind.EXACT, solve_pco_ec_fpt), (ConflictKind.SUBSET, solve_pco_sc_fpt)],
-)
+SOLVERS = {ConflictKind.EXACT: solve_pco_ec_fpt, ConflictKind.SUBSET: solve_pco_sc_fpt}
+
+
+@pytest.mark.parametrize("kind, solver", SOLVERS.items())
 def test_leaf_table_search_matches_the_per_leaf_reference(kind, solver):
-    # Count searches that end past their first leaf, won and lost.
-    later_leaf_wins = later_leaves_fail = 0
-    for seed in range(1500):
+    # The reference decides every map by solve_pco, cuts the same inner
+    # nodes, and counts the same leaves. Count searches that end past
+    # their first leaf, won and lost, and those cut before any leaf.
+    later_leaf_wins = later_leaves_fail = cut_before_a_leaf = 0
+    for seed in range(3000):
         rng = Random(seed)
         g = rand_graph(rng, nmax=7, mmax=12)
         i = Instance(
@@ -189,7 +195,35 @@ def test_leaf_table_search_matches_the_per_leaf_reference(kind, solver):
         assert got == _outcome(branch_reference(i)), f"seed {seed}: {i}"
         later_leaf_wins += got[0] and got[1] > 1
         later_leaves_fail += not got[0] and got[1] > 1
-    assert later_leaf_wins > 10 and later_leaves_fail > 100
+        cut_before_a_leaf += not got[0] and got[1] == 0
+    # Measured: 23 / 23 / 1070 exact, 17 / 14 / 1213 subset.
+    assert later_leaf_wins > 10 and later_leaves_fail > 10 and cut_before_a_leaf > 500
+
+
+def test_the_cut_keeps_every_witness_of_the_unpruned_search():
+    # Both kinds, up to 5 overlapping conflicts, dense and sparse targets.
+    pruned = unpruned = 0
+    for kind in ConflictKind:
+        for density in (0.8, 0.3):
+            rng = Random(f"{kind.value}-{density}")
+            for _ in range(1500):
+                g = rand_graph(rng, nmax=7, mmax=12)
+                i = Instance(
+                    g,
+                    rand_parity(rng, g.vertex_count, density=density),
+                    rand_conflicts(rng, g, kind, max_count=5, max_size=3),
+                    rand_forced(rng, g, frac=0.2),
+                )
+                got = SOLVERS[kind](i)
+                ref = branch_reference(i, cut=False)
+                assert got.feasible == ref.feasible == (decide_feasible(i) is not None), i
+                if got.feasible:
+                    assert got.orientation.heads == ref.orientation.heads, i
+                assert got.branches <= ref.branches, i
+                pruned += got.branches
+                unpruned += ref.branches
+    # Measured: 4,215 of 7,795 leaves (54%).
+    assert pruned <= 0.6 * unpruned, (pruned, unpruned)
 
 
 def test_leaf_check_matches_the_base_solver():
@@ -222,3 +256,34 @@ def test_a_leaf_the_table_wrongly_passes_raises(monkeypatch):
     monkeypatch.setattr(pcorient.fpt, "_leaf_feasible", lambda table, forced: True)
     with pytest.raises(RuntimeError, match="leaf table"):
         solve_pco_ec_fpt(i)
+
+
+@pytest.mark.parametrize("kind", list(ConflictKind))
+def test_a_root_that_fails_parity_reaches_no_leaf(kind):
+    # K4 with every target even but one: the parity sum is odd against six
+    # edges, so the conflict-free relaxation already fails at the root.
+    edges = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+    conflicts = tuple(
+        Conflict(v, frozenset(members), kind) for v, members in ((0, (0, 1)), (0, (1, 2)), (1, (0, 3)))
+    )
+    i = inst(4, edges, parity={0: 1, 1: 0, 2: 0, 3: 0}, conflicts=conflicts)
+    res = SOLVERS[kind](i)
+    assert (res.feasible, res.branches) == (False, 0)
+    assert decide_feasible(i) is None
+    assert branch_reference(i, cut=False).branches > 0
+
+
+FORMULA = Path(__file__).parent / "data" / "one_in_three_sat.txt"
+
+
+@pytest.mark.parametrize("construction, route", [("ec", "pco-ec-fpt"), ("sc", "pco-sc-fpt")])
+def test_a_satisfiable_hardness_instance_solves_in_time(construction, route, tmp_path, capsys):
+    doc, heads = tmp_path / "instance.json", tmp_path / "heads.txt"
+    start = time.perf_counter()
+    assert main(["generate", construction, str(FORMULA), "-o", str(doc)]) == 0
+    assert main(["solve", str(doc), "-v", "-o", str(heads)]) == 0
+    assert f"route: {route}" in capsys.readouterr().err
+    assert main(["verify", str(doc), str(heads)]) == 0
+    assert capsys.readouterr().out == "ok\n"
+    assert decide_feasible(parse_instance(doc.read_text())) is not None
+    assert time.perf_counter() - start < 10.0

@@ -289,9 +289,13 @@ def components_rescan(g: Multigraph) -> list[Component]:
     return out
 
 
-def branch_reference(inst: Instance) -> PcoResult:
-    """Reference for the branching solvers: the same search, with every
-    leaf rebuilt as a conflict-free instance and decided by ``solve_pco``."""
+def branch_reference(inst: Instance, cut: bool = True) -> PcoResult:
+    """Reference for the branching solvers: the same search, with each
+    forcing map it decides rebuilt as a conflict-free instance and decided
+    by ``solve_pco``. With ``cut``, every inner node is decided too and
+    one that fails is not searched below, as in the solvers; without it
+    only leaves are decided, so it reaches every leaf the depth-first
+    order meets before the first feasible one."""
     g = inst.graph
     leaves = 0
 
@@ -301,6 +305,8 @@ def branch_reference(inst: Instance) -> PcoResult:
             leaves += 1
             res = solve_pco(Instance(g, inst.parity, (), forced))
             return res if res.feasible else None
+        if cut and not solve_pco(Instance(g, inst.parity, (), forced)).feasible:
+            return None
         if _discharged(g, inst.conflicts[i], forced):
             return rec(i + 1, forced)
         for delta in _choices(g, inst.conflicts[i]):
