@@ -48,12 +48,11 @@ from collections import defaultdict
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import combinations
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .core import (
     Conflict,
     ConflictKind,
-    Contraction,
     Instance,
     Multigraph,
     Orientation,
@@ -66,7 +65,8 @@ from .core import (
 from .errors import InvalidInstanceError, UnsupportedError
 from .matching import Matching, SimpleGraph, max_matching
 from .pco import PcoResult, solve_pco
-from .reductions import eo_dsc_to_eo_2dec, pco_dec_to_eo_2dec, pco_to_eo, pull_back
+from .reductions import ReductionMap, eo_dsc_to_eo_2dec, pco_dec_to_eo_2dec, pull_back
+from .reductions import pco_to_eo  # noqa: F401; perfbench/spans.py hooks it here by name
 
 __all__ = [
     "LpLink",
@@ -281,12 +281,50 @@ def solve_pco_2dec(inst: Instance) -> EoResult | None:
     return EoResult(o, rep.parity_violations, len(inst.parity) - len(rep.parity_violations))
 
 
-def _decide_plain(inst: Instance, con: Contraction) -> PcoResult:
-    """Conflict-free decision remainder shared by the routed solvers."""
-    base = solve_pco(con.instance)
-    if not base.feasible:
+def _decide(
+    inst: Instance, kind: ConflictKind, reduce: Callable[[Instance], tuple[Instance, ReductionMap]]
+) -> PcoResult:
+    """Decision body shared by solve_pco_dec and solve_pco_dsc.
+
+    Every conflict must be of the given kind, and the conflicts pairwise
+    disjoint. After normalize and contract_forced, a conflict-free
+    remainder goes to the base solver; otherwise reduce maps it to
+    conflict pairs, and it is feasible when the pair route leaves no
+    constrained vertex violated.
+    """
+    require_valid(inst)
+    name = "exact" if kind is ConflictKind.EXACT else "a subset conflict"
+    for i, c in enumerate(inst.conflicts):
+        if c.kind is not kind:
+            raise InvalidInstanceError(f"conflict {i} is not {name}")
+        if c.size < 2 and kind is ConflictKind.EXACT:
+            raise UnsupportedError(
+                "single-edge exact conflicts are unsupported; their decision problem is open"
+            )
+    if not inst.pairwise_disjoint():
+        raise InvalidInstanceError("conflicts overlap at a shared vertex")
+    n1 = normalize(inst)
+    con = None if n1 is None else contract_forced(n1)
+    if con is None:
         return PcoResult(False, None, 0)
-    o = expand_orientation(con, base.orientation)
+    # A subset conflict cut to one edge became a forcing, so only exact ones get here.
+    if any(c.size < 2 for c in con.instance.conflicts):
+        raise UnsupportedError(
+            "forced edges shrink an exact conflict below two edges; the remaining "
+            "single-edge constraint is unsupported"
+        )
+    if not con.instance.conflicts:
+        base = solve_pco(con.instance)
+        if not base.feasible:
+            return PcoResult(False, None, 0)
+        return PcoResult(True, expand_orientation(con, base.orientation), len(inst.parity))
+    red, rmap = reduce(con.instance)
+    er = solve_pco_2dec(red)
+    if er is None or er.odd_vertices:
+        return PcoResult(False, None, 0)
+    o = expand_orientation(con, pull_back(er.orientation, rmap))
+    if not verify(inst, o).ok:
+        raise RuntimeError("reduction returned an invalid witness")
     return PcoResult(True, o, len(inst.parity))
 
 
@@ -297,61 +335,13 @@ def solve_pco_dec(inst: Instance) -> PcoResult:
     instance is infeasible. Single-edge exact conflicts are rejected as
     unsupported; the problem with them is open.
     """
-    require_valid(inst)
-    for i, c in enumerate(inst.conflicts):
-        if c.kind is not ConflictKind.EXACT:
-            raise InvalidInstanceError(f"conflict {i} is not exact")
-        if c.size < 2:
-            raise UnsupportedError(
-                "single-edge exact conflicts are unsupported; their decision problem is open"
-            )
-    if not inst.pairwise_disjoint():
-        raise InvalidInstanceError("conflicts overlap at a shared vertex")
-    n1 = normalize(inst)
-    if n1 is None:
-        return PcoResult(False, None, 0)
-    con = contract_forced(n1)
-    if con is None:
-        return PcoResult(False, None, 0)
-    if any(c.size < 2 for c in con.instance.conflicts):
-        raise UnsupportedError(
-            "forced edges shrink an exact conflict below two edges; the remaining "
-            "single-edge constraint is unsupported"
-        )
-    if not con.instance.conflicts:
-        return _decide_plain(inst, con)
-    red, rmap = pco_dec_to_eo_2dec(con.instance)
-    er = solve_pco_2dec(red)
-    if er is None or er.odd_vertices:
-        return PcoResult(False, None, 0)
-    o = expand_orientation(con, pull_back(er.orientation, rmap))
-    if not verify(inst, o).ok:
-        raise RuntimeError("reduction returned an invalid witness")
-    return PcoResult(True, o, len(inst.parity))
+    return _decide(inst, ConflictKind.EXACT, pco_dec_to_eo_2dec)
 
 
 def solve_pco_dsc(inst: Instance) -> PcoResult:
-    """Parity decision with pairwise disjoint subset conflicts."""
-    require_valid(inst)
-    for i, c in enumerate(inst.conflicts):
-        if c.kind is not ConflictKind.SUBSET:
-            raise InvalidInstanceError(f"conflict {i} is not a subset conflict")
-    if not inst.pairwise_disjoint():
-        raise InvalidInstanceError("conflicts overlap at a shared vertex")
-    n1 = normalize(inst)
-    if n1 is None:
-        return PcoResult(False, None, 0)
-    con = contract_forced(n1)
-    if con is None:
-        return PcoResult(False, None, 0)
-    if not con.instance.conflicts:
-        return _decide_plain(inst, con)
-    eo1, r1 = pco_to_eo(con.instance, conflict_mode="subset")
-    red, r2 = eo_dsc_to_eo_2dec(eo1)
-    er = solve_pco_2dec(red)
-    if er is None or er.odd_vertices:
-        return PcoResult(False, None, 0)
-    o = expand_orientation(con, pull_back(pull_back(er.orientation, r2), r1))
-    if not verify(inst, o).ok:
-        raise RuntimeError("reduction returned an invalid witness")
-    return PcoResult(True, o, len(inst.parity))
+    """Parity decision with pairwise disjoint subset conflicts.
+
+    The fan gadget carries every target through as it is, so one
+    reduction reaches the pair route.
+    """
+    return _decide(inst, ConflictKind.SUBSET, eo_dsc_to_eo_2dec)

@@ -5,9 +5,10 @@ An instance document is a JSON object with six fields: ``version`` (always
 order), ``parity`` (map vertex -> 0|1), ``conflicts`` (list of objects
 with ``vertex``, ``edges``, and ``kind`` "exact"|"subset"), and ``forced``
 (map edge -> head vertex). JSON object keys are strings, so the parity and
-forced maps use stringified ids. Serialization is canonical: sorted keys,
-two-space indent, member edge lists ascending, one trailing newline.
-Parsing back a serialized document and serializing again is byte-identical.
+forced maps key ids as canonical decimal strings ("3", never "03" or " 3").
+Serialization is canonical: sorted keys, two-space indent, member edge
+lists ascending, one trailing newline. Parsing back a serialized document
+and serializing again is byte-identical.
 
 An orientation file is one head vertex per line in edge-id order; blank
 lines and ``#`` comments are skipped.
@@ -59,6 +60,8 @@ def _id_map(doc: dict, name: str) -> dict[int, int]:
             k = int(key)
         except ValueError:
             raise InvalidDocumentError(f"field {name!r}: key {key!r} is not an integer")
+        if key != str(k):  # "01", " 0" and "1_0" would alias or rename an id
+            raise InvalidDocumentError(f"field {name!r}: key {key!r} is not a canonical integer")
         if not isinstance(item, int) or isinstance(item, bool):
             raise InvalidDocumentError(f"field {name!r}: value for {key!r} must be an integer")
         out[k] = item

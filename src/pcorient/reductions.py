@@ -7,19 +7,23 @@ back to the original edge set:
 * ``pco_to_eo``: partial parity constraints to all-even constraints.
   Odd-constrained vertices get a pendant whose edge is parity-forced
   inward; unconstrained vertices are joined to a shared hub vertex whose
-  edges soak up their parity freedom.
+  edges soak up their parity freedom. No solver calls it; it is the
+  paper's parity-to-even reduction, kept with the tests that check it.
 * ``pco_dec_to_eo_2dec``: disjoint exact conflicts of any size down to
   conflict pairs, routing each conflict of size three or more through a
   switching network (see switching.py). An unconstrained vertex stays
   unconstrained, so no hub is needed.
 * ``eo_dsc_to_eo_2dec``: disjoint subset conflicts down to conflict
   pairs via a fan gadget that re-attaches the conflict edges to arm
-  vertices and detects the all-inward pattern at a hub.
+  vertices and detects the all-inward pattern at a hub. Every original
+  vertex keeps its own target, odd, even or none.
 
 Gadget vertices are even-constrained, with one exception:
 pco_dec_to_eo_2dec leaves the inner path vertex of an unconstrained
-vertex without a target, which the pair route takes as it is. The other
-two return all-even instances. Construction order is fixed (vertices
+vertex without a target, which the pair route takes as it is. So
+pco_to_eo always returns an all-even instance, pco_dec_to_eo_2dec does
+when every input vertex has a target, and eo_dsc_to_eo_2dec only when
+the input is all-even. Construction order is fixed (vertices
 in original order, conflicts in list order, members by edge id) so a
 given input always produces the identical reduced instance.
 """
@@ -284,22 +288,20 @@ def eo_dsc_to_eo_2dec(inst: Instance) -> tuple[Instance, ReductionMap]:
     the conflict vertex repairs its parity. The all-members-inward
     pattern, and only it, leaves the hub's incoming set equal to the
     anchor/pendant pair, which is the one forbidden pair.
+
+    The anchor and the second pendant keep the conflict vertex's
+    indegree parity, so every original vertex carries the input's own
+    target through: odd, even, or none. The gadget vertices are even.
     """
-    for v, p in inst.parity.items():
-        if p != 0:
-            raise InvalidInstanceError(f"vertex {v} is not even-constrained")
-    if len(inst.parity) != inst.graph.vertex_count:
-        raise InvalidInstanceError("every vertex must be even-constrained")
     for c in inst.conflicts:
         if c.kind is not ConflictKind.SUBSET:
             raise InvalidInstanceError(f"conflict at vertex {c.vertex} is not subset")
     _check_disjoint(inst)
 
     g = inst.graph
-    n = g.vertex_count
     b = InstanceBuilder()
-    for _ in range(n):
-        b.add_vertex(0)
+    for v in range(g.vertex_count):
+        b.add_vertex(inst.parity.get(v))
 
     new_vertices: list[tuple[int, str]] = []
     new_edges: list[tuple[int, str]] = []
@@ -344,7 +346,7 @@ def eo_dsc_to_eo_2dec(inst: Instance) -> tuple[Instance, ReductionMap]:
         if parity_fix is not None:
             e = b.add_edge(parity_fix, c.vertex)
             new_edges.append((e, "parity-pendant-edge"))
-        if (len(b._edges) - mark) % 2:
+        if (b.edge_count - mark) % 2:
             raise RuntimeError("conflict fan added an odd number of edges")
         b.add_conflict(hub, (anchor, brace), ConflictKind.EXACT)
 

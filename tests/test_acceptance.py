@@ -115,8 +115,9 @@ def _reduction_agrees(orig: Instance, reduced: Instance, rmap, samples: int = 6)
 
 def test_criterion_4_reductions_preserve_feasibility():
     odd_parity = {0: 1, 1: 0, 2: 1, 3: 0}
+    parity_maps = (even_parity(4), odd_parity, {0: 1, 2: 1})
     for g in multigraphs_4v():
-        for par in (even_parity(4), odd_parity, {0: 1, 2: 1}):
+        for par in parity_maps:
             orig = Instance(g, par, (), {})
             _reduction_agrees(orig, *pco_to_eo(orig))
         for kind, mode in ((ConflictKind.EXACT, "exact"), (ConflictKind.SUBSET, "subset")):
@@ -134,7 +135,10 @@ def test_criterion_4_reductions_preserve_feasibility():
                     continue
                 if kind is ConflictKind.EXACT:
                     _reduction_agrees(orig, *pco_dec_to_eo_2dec(orig))
-                else:
+                    continue
+                # The fan carries odd and absent targets through as well.
+                for par in parity_maps:
+                    orig = Instance(g, par, config, {})
                     _reduction_agrees(orig, *eo_dsc_to_eo_2dec(orig))
 
 

@@ -19,10 +19,12 @@ from pcorient import (
     solve_pco_dsc,
     verify,
 )
+from pcorient import eo2dec
 from pcorient.eo2dec import _slot_graph, matching_to_orientation
 from pcorient.errors import InvalidInstanceError, UnsupportedError
 from pcorient.matching import Matching
 from pcorient.oracle import decide_feasible
+from pcorient.reductions import eo_dsc_to_eo_2dec
 
 from util import (
     cycle_edges,
@@ -302,6 +304,25 @@ def test_solve_pco_dsc_matches_oracle_decision():
             checked += 1
             assert verify(i, got.orientation).ok
     assert checked > 20
+
+
+def test_solve_pco_dsc_reduces_once_and_leaves_free_vertices_free(monkeypatch):
+    edges = [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3), (3, 4)]
+    i = inst(5, edges, {0: 1, 1: 0, 3: 1}, conflicts=(subset(0, 0, 1, 2), subset(2, 3, 4)))
+    seen = []
+
+    def spy(red):
+        seen.append(red)
+        return solve_pco_2dec(red)
+
+    monkeypatch.setattr(eo2dec, "solve_pco_2dec", spy)
+    got = solve_pco_dsc(i)
+    assert got.feasible and verify(i, got.orientation).ok
+    (red,) = seen
+    assert [v for v in range(red.graph.vertex_count) if v not in red.parity] == [2, 4]
+    want, rmap = eo_dsc_to_eo_2dec(i)
+    assert red == want
+    assert all(t.startswith("fan-") or t == "parity-pendant" for _, t in rmap.new_vertices)
 
 
 @pytest.mark.parametrize(

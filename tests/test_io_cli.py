@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 import shutil
 import subprocess
 import sys
@@ -101,6 +102,28 @@ def test_parse_rejects_non_integer_parity_key():
     doc["parity"] = {"a": 0}
     with pytest.raises(InvalidDocumentError, match="key 'a' is not an integer"):
         io.parse_instance(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "field, value, key",
+    [
+        ("parity", {"1": 0, "01": 1}, "01"),
+        ("parity", {"1_0": 0}, "1_0"),
+        ("forced", {" 0": 1}, " 0"),
+        ("forced", {"+0": 1}, "+0"),
+    ],
+    ids=["leading-zero-alias", "underscore", "space", "plus-sign"],
+)
+def test_parse_rejects_non_canonical_id_keys(field, value, key, tmp_path, capsys):
+    doc = json.loads(MINIMAL)
+    doc[field] = value
+    text = json.dumps(doc)
+    with pytest.raises(InvalidDocumentError, match=re.escape(f"field '{field}': key {key!r}")):
+        io.parse_instance(text)
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    assert main(["solve", str(path)]) == 2
+    assert "not a canonical integer" in capsys.readouterr().err
 
 
 def test_orientation_file_skips_comments_and_blanks():

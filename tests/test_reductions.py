@@ -199,7 +199,18 @@ def test_dsc_arm_heads_translate_back_to_the_vertex():
     assert hit > 0
 
 
-def test_dsc_requires_fully_even_parity():
-    i = inst(3, path_edges(3), parity={1: 0}, conflicts=(subset(1, 0, 1),))
-    with pytest.raises(Exception):
-        eo_dsc_to_eo_2dec(i)
+def test_dsc_carries_each_target_through():
+    # Odd, even and absent targets, and an odd conflict that needs a parity pendant.
+    edges = [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3), (3, 4)]
+    parity = {0: 1, 1: 0, 3: 1}
+    i = inst(5, edges, parity, conflicts=(subset(0, 0, 1, 2), subset(2, 3, 4)))
+    red, rmap = eo_dsc_to_eo_2dec(i)
+    assert {v: red.parity.get(v) for v in range(5)} == {v: parity.get(v) for v in range(5)}
+    gadget = [v for v, tag in rmap.new_vertices]
+    assert sorted(gadget) == list(range(5, red.graph.vertex_count))
+    assert all(tag.startswith("fan-") or tag == "parity-pendant" for _, tag in rmap.new_vertices)
+    assert roles(rmap.new_vertices, "parity-pendant")
+    assert all(red.parity.get(v) == 0 for v in gadget)
+    got = decide_feasible(red)
+    assert got is not None and decide_feasible(i) is not None
+    assert verify(i, pull_back(got, rmap)).ok
