@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 from random import Random
 
 import pytest
@@ -21,8 +22,9 @@ from pcorient import (
 )
 from pcorient import eo2dec
 from pcorient.eo2dec import _slot_graph, matching_to_orientation
+from pcorient.core import contract_forced
 from pcorient.errors import InvalidInstanceError, UnsupportedError
-from pcorient.matching import Matching
+from pcorient.matching import Matching, max_matching
 from pcorient.oracle import decide_feasible
 from pcorient.reductions import eo_dsc_to_eo_2dec
 
@@ -214,6 +216,33 @@ def test_solve_pco_2dec_maximizes_satisfied_parities(density):
         assert rep.conflict_violations == (), f"seed {seed}"
         assert er.satisfied == len(i.parity) - len(rep.parity_violations)
     assert checked > 2000
+
+
+def test_slot_matchings_are_pinned():
+    # Every slot-graph mate array and pair-route result on a seeded corpus,
+    # hashed together. The digest was taken when the link graph still kept
+    # each link's witness endpoints; reading the heads off the conflicts
+    # instead must leave every matching and every orientation as it was.
+    h = hashlib.sha256()
+    for seed in range(600):
+        rng = Random(seed)
+        g = rand_graph(rng, nmax=7, mmax=13)
+        pairs = rand_disjoint_pairs(rng, g, max_count=4)
+        density = (1.0, 0.7, 0.3)[seed % 3]  # all constrained, then more and more free
+        forced = rand_forced(rng, g, frac=0.2) if seed % 4 == 0 else {}
+        i = Instance(g, rand_parity(rng, g.vertex_count, density), pairs, forced)
+        try:
+            er = solve_pco_2dec(i)
+        except UnsupportedError:
+            h.update(b"unsupported")
+            continue
+        h.update(repr(er).encode())
+        con = contract_forced(i)
+        if con is not None:
+            red = con.instance
+            mate = max_matching(*_slot_graph(red, build_lprime(red.graph, red.conflicts))).mate
+            h.update(repr(mate).encode())
+    assert h.hexdigest() == "708f5e30e7145bddce2d831bf32a05d6d8809e8dcb343d2e84d155a77ced61eb"
 
 
 def test_slot_graph_free_vertex_gadget_is_linear():
