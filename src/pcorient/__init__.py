@@ -14,7 +14,6 @@ from .core import (
 )
 from .eo2dec import (
     EoResult,
-    build_lprime,
     solve_eo_2dec,
     solve_pco_2dec,
     solve_pco_dec,
@@ -48,7 +47,6 @@ __all__ = [
     "SatInstance",
     "UnsupportedError",
     "VerifyReport",
-    "build_lprime",
     "components",
     "enumerate_best",
     "normalize",

@@ -38,17 +38,17 @@ bug. q_2u goes last because of parity: without it, an odd number of
 free slots off the edges leaves one node exposed; with it, an even
 number does. Matching without q_2u first and adding it after keeps
 the lower of the two counts, so the exposed nodes that remain are
-exactly the violated constraints, at their fewest. Conflicts never fire: a matched
-pair points only into a witness, and a slot takes a single edge.
+exactly the violated constraints, at their fewest. Conflicts never
+fire: a matched pair points into the first endpoint its edges share at
+which they are not a conflict pair, and a slot takes a single edge.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, replace
-from functools import cached_property
 from itertools import combinations
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 from .core import (
     Conflict,
@@ -69,10 +69,7 @@ from .reductions import ReductionMap, eo_dsc_to_eo_2dec, pco_dec_to_eo_2dec, pul
 from .reductions import pco_to_eo  # noqa: F401; perfbench/spans.py hooks it here by name
 
 __all__ = [
-    "LpLink",
-    "LPrimeGraph",
     "EoResult",
-    "build_lprime",
     "matching_to_orientation",
     "solve_eo_2dec",
     "solve_pco_2dec",
@@ -81,61 +78,23 @@ __all__ = [
 ]
 
 
-class LpLink(NamedTuple):
-    e1: int
-    e2: int
-    witnesses: frozenset[int]
-
-
-@dataclass(frozen=True)
-class LPrimeGraph:
-    """Conflict-filtered line graph; nodes are the edge ids of the source."""
-
-    node_count: int
-    links: tuple[LpLink, ...]
-
-    @cached_property
-    def _witness_map(self) -> dict[tuple[int, int], frozenset[int]]:
-        return {(l.e1, l.e2): l.witnesses for l in self.links}
-
-    def witnesses_of(self, a: int, b: int) -> frozenset[int]:
-        """Shared endpoints at which a and b may both arrive; empty if unlinked."""
-        key = (a, b) if a < b else (b, a)
-        return self._witness_map.get(key, frozenset())
-
-
-def build_lprime(g: Multigraph, conflicts: Sequence[Conflict]) -> LPrimeGraph:
+def build_lprime(g: Multigraph, conflicts: Sequence[Conflict]) -> SimpleGraph:
     """Link edges sharing an endpoint where they are not a conflict pair.
 
-    Witness endpoints are recorded per link; a parallel pair can have
-    two. Conflicts must be exact pairs, pairwise disjoint, and incident
-    to their vertex.
+    Nodes are the edge ids of g. The conflicts are taken as solve_pco_2dec
+    checks them at entry: disjoint exact pairs, incident to their vertex.
     """
     barred: dict[int, set[tuple[int, ...]]] = defaultdict(set)
-    taken: dict[int, set[int]] = defaultdict(set)
-    for i, c in enumerate(conflicts):
-        if c.kind is not ConflictKind.EXACT or c.size != 2:
-            raise InvalidInstanceError(f"conflict {i} is not an exact pair")
-        for e in c.edges:
-            if c.vertex not in g.edges[e]:
-                raise InvalidInstanceError(
-                    f"conflict {i} lists edge {e}, which does not touch vertex {c.vertex}"
-                )
-        if taken[c.vertex] & c.edges:
-            raise InvalidInstanceError(f"conflict {i} overlaps another at vertex {c.vertex}")
-        taken[c.vertex] |= c.edges
+    for c in conflicts:
         barred[c.vertex].add(tuple(sorted(c.edges)))
-
     # incident() lists ids in increasing order, so every pair below is
-    # sorted as the barred ones are.
-    witness: dict[tuple[int, ...], list[int]] = defaultdict(list)
+    # sorted as the barred ones are. A parallel pair shows up at both of
+    # its ends; SimpleGraph sorts the links and drops the repeat.
+    links: list[tuple[int, ...]] = []
     for v in range(g.vertex_count):
         bar = barred.get(v, ())
-        for pair in combinations(g.incident(v), 2):
-            if pair not in bar:
-                witness[pair].append(v)
-    links = tuple(LpLink(a, b, frozenset(ws)) for (a, b), ws in sorted(witness.items()))
-    return LPrimeGraph(g.edge_count, links)
+        links += [p for p in combinations(g.incident(v), 2) if p not in bar]
+    return SimpleGraph(g.edge_count, tuple(links))
 
 
 @dataclass(frozen=True)
@@ -151,23 +110,27 @@ class EoResult:
         return len(self.odd_vertices)
 
 
-def matching_to_orientation(g: Multigraph, lp: LPrimeGraph, m: Matching) -> EoResult:
-    """Matched pairs into their smallest witness, slot-matched edges into their slot.
+def matching_to_orientation(inst: Instance, m: Matching) -> EoResult:
+    """Matched pairs into their first unbarred shared end, slot-matched edges into their slot.
 
-    Node e below g.edge_count is edge e, and node edge_count + v is
-    vertex v's slot: an edge matched to it points into v. Any later node
-    carries no edge and is skipped. Every edge node must be covered.
+    Node e below edge_count is edge e of inst.graph, and node
+    edge_count + v is vertex v's slot: an edge matched to it points into
+    v. Any later node carries no edge and is skipped. Every edge node must
+    be covered, and a matched pair must be a link: its edges share an
+    endpoint at which they are not a conflict pair.
 
     Every slot-matched edge contributes one odd vertex, and all these
     heads are distinct, so t counts them. The result violates no
-    conflict: a matched pair arrives only at a witness, and a slot takes
-    one edge.
+    conflict: a matched pair arrives at an end where it is not barred,
+    and a slot takes one edge.
     """
+    g = inst.graph
     ne = g.edge_count
     if len(m.mate) < ne:
         raise InvalidInstanceError("matching is over a different node set")
     if -1 in m.mate[:ne]:
         raise InvalidInstanceError(f"edge {m.mate.index(-1)} is not covered by the matching")
+    barred = {(c.vertex, *sorted(c.edges)) for c in inst.conflicts}
     heads = [-1] * ne
     odd: list[int] = []
     for a, b in m.pairs():
@@ -179,10 +142,13 @@ def matching_to_orientation(g: Multigraph, lp: LPrimeGraph, m: Matching) -> EoRe
             heads[a] = b - ne
             odd.append(b - ne)
             continue
-        ws = lp.witnesses_of(a, b)
-        if not ws:
+        ends = g.edges[b]
+        for v in g.edges[a]:
+            if v in ends and (v, a, b) not in barred:
+                heads[a] = heads[b] = v
+                break
+        else:
             raise InvalidInstanceError(f"matched pair ({a}, {b}) is not a link")
-        heads[a] = heads[b] = min(ws)
     return EoResult(Orientation(tuple(heads)), tuple(sorted(odd)))
 
 
@@ -205,7 +171,7 @@ def solve_eo_2dec(inst: Instance) -> EoResult:
     return EoResult(er.orientation, er.odd_vertices)
 
 
-def _slot_graph(inst: Instance, lp: LPrimeGraph) -> tuple[SimpleGraph, list[list[int]]]:
+def _slot_graph(inst: Instance, lp: SimpleGraph) -> tuple[SimpleGraph, list[list[int]]]:
     """The pair route's matching graph and the rounds it is matched in.
 
     Nodes 0..m-1 are the edges, linked as in lp, and node m+v is vertex
@@ -225,7 +191,7 @@ def _slot_graph(inst: Instance, lp: LPrimeGraph) -> tuple[SimpleGraph, list[list
     """
     g = inst.graph
     m, n = g.edge_count, g.vertex_count
-    links = [(l.e1, l.e2) for l in lp.links]
+    links = list(lp.links)
     links += [(e, m + v) for v in range(n) for e in g.incident(v)]
     odd = [m + v for v in range(n) if inst.parity.get(v) == 1]
     even = [m + v for v in range(n) if inst.parity.get(v) == 0]
@@ -268,12 +234,11 @@ def solve_pco_2dec(inst: Instance) -> EoResult | None:
                 "single-edge exact constraint is not expressible on this route"
             )
     red = con.instance
-    lp = build_lprime(red.graph, red.conflicts)
-    sg, rounds = _slot_graph(red, lp)
+    sg, rounds = _slot_graph(red, build_lprime(red.graph, red.conflicts))
     matching = max_matching(sg, rounds)
     if -1 in matching.mate[: red.graph.edge_count]:
         raise RuntimeError("the slot matching left an edge uncovered; matching route bug")
-    er = matching_to_orientation(red.graph, lp, matching)
+    er = matching_to_orientation(red, matching)
     o = expand_orientation(con, er.orientation)
     rep = verify(inst, o)
     if rep.conflict_violations:

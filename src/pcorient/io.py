@@ -5,10 +5,11 @@ An instance document is a JSON object with six fields: ``version`` (always
 order), ``parity`` (map vertex -> 0|1), ``conflicts`` (list of objects
 with ``vertex``, ``edges``, and ``kind`` "exact"|"subset"), and ``forced``
 (map edge -> head vertex). JSON object keys are strings, so the parity and
-forced maps key ids as canonical decimal strings ("3", never "03" or " 3").
-Serialization is canonical: sorted keys, two-space indent, member edge
-lists ascending, one trailing newline. Parsing back a serialized document
-and serializing again is byte-identical.
+forced maps key ids as canonical decimal strings ("3", never "03" or " 3"),
+and no object may repeat a key. Serialization is canonical: sorted keys,
+two-space indent, member edge lists ascending, one trailing newline.
+Parsing back a serialized document and serializing again is
+byte-identical.
 
 An orientation file is one head vertex per line in edge-id order; blank
 lines and ``#`` comments are skipped.
@@ -68,6 +69,18 @@ def _id_map(doc: dict, name: str) -> dict[int, int]:
     return out
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """An object's members as a dict; a repeated key is an error, not an overwrite."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen: set[str] = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise InvalidDocumentError(f"duplicate key {key!r}")
+            seen.add(key)
+    return obj
+
+
 def parse_instance(text: str) -> Instance:
     """Read an instance document; the result is structurally validated.
 
@@ -76,7 +89,7 @@ def parse_instance(text: str) -> Instance:
     ``validate_instance``.
     """
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise InvalidDocumentError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}")
     if not isinstance(doc, dict):

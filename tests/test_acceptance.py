@@ -47,7 +47,6 @@ from util import (
     even_parity,
     exact,
     inst,
-    link_graph,
     multigraphs_4v,
     rand_conflicts,
     rand_disjoint_pairs,
@@ -86,8 +85,7 @@ def test_criterion_2_pair_conflicts_reduce_to_link_matching():
         i = Instance(g, even_parity(g.vertex_count), pairs, {})
         t = solve_eo_2dec(i).t
         truth = enumerate_best(i)
-        lp = build_lprime(g, pairs)
-        sg = link_graph(lp)
+        sg = build_lprime(g, pairs)
         uncovered = sg.node_count - 2 * brute_matching_size(sg.node_count, sg.links)
         assert t == truth.min_odd_vertices == uncovered, f"trial {trial}: {i}"
 
@@ -313,8 +311,7 @@ def _battery_transcript() -> str:
                     emit(f"eo-2dec {name}", solve_eo_2dec(i))
                     emit(f"pco-2dec {name}", solve_pco_2dec(i))
                     emit(f"pco-dec {name}", solve_pco_dec(i))
-                    lp = build_lprime(i.graph, i.conflicts)
-                    emit(f"matching {name}", max_matching(link_graph(lp)).mate)
+                    emit(f"matching {name}", max_matching(build_lprime(i.graph, i.conflicts)).mate)
             if kinds == {ConflictKind.SUBSET}:
                 emit(f"sc-fpt {name}", solve_pco_sc_fpt(i))
                 if i.pairwise_disjoint() and all(c.size >= 2 for c in i.conflicts):

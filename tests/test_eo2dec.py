@@ -11,7 +11,6 @@ from pcorient import (
     ConflictKind,
     Instance,
     Multigraph,
-    build_lprime,
     enumerate_best,
     solve_eo_2dec,
     solve_pco,
@@ -21,8 +20,8 @@ from pcorient import (
     verify,
 )
 from pcorient import eo2dec
-from pcorient.eo2dec import _slot_graph, matching_to_orientation
 from pcorient.core import contract_forced
+from pcorient.eo2dec import _slot_graph, build_lprime, matching_to_orientation
 from pcorient.errors import InvalidInstanceError, UnsupportedError
 from pcorient.matching import Matching, max_matching
 from pcorient.oracle import decide_feasible
@@ -47,79 +46,65 @@ P3 = path_edges(3)
 C4 = cycle_edges(4)
 
 
-def lp_of(i: Instance):
-    return build_lprime(i.graph, i.conflicts)
-
-
 def test_lprime_path_without_conflicts():
-    lp = build_lprime(Multigraph(3, tuple(P3)), ())
-    assert len(lp.links) == 1
-    assert lp.witnesses_of(0, 1) == frozenset({1})
+    assert build_lprime(Multigraph(3, tuple(P3)), ()).links == ((0, 1),)
 
 
 def test_lprime_conflict_removes_the_link():
-    lp = build_lprime(Multigraph(3, tuple(P3)), (exact(1, 0, 1),))
-    assert lp.links == ()
-    assert lp.witnesses_of(0, 1) == frozenset()
+    assert build_lprime(Multigraph(3, tuple(P3)), (exact(1, 0, 1),)).links == ()
 
 
 def test_lprime_parallel_pair_keeps_other_witness():
     g = Multigraph(2, ((0, 1), (0, 1)))
-    lp = build_lprime(g, (exact(0, 0, 1),))
-    assert len(lp.links) == 1
-    assert lp.witnesses_of(0, 1) == frozenset({1})
-    assert build_lprime(g, ()).witnesses_of(0, 1) == frozenset({0, 1})
-
-
-def test_lprime_rejects_bad_conflicts():
-    g = Multigraph(3, tuple(P3))
-    with pytest.raises(InvalidInstanceError):
-        build_lprime(g, (subset(1, 0, 1),))
-    with pytest.raises(InvalidInstanceError):
-        build_lprime(g, (exact(1, 0),))
-    with pytest.raises(InvalidInstanceError):
-        build_lprime(g, (exact(2, 0, 1),))
-    g4 = Multigraph(4, ((0, 1), (1, 2), (1, 3), (1, 0)))
-    with pytest.raises(InvalidInstanceError):
-        build_lprime(g4, (exact(1, 0, 1), exact(1, 1, 2)))
+    assert build_lprime(g, (exact(0, 0, 1),)).links == ((0, 1),)
+    assert build_lprime(g, ()).links == ((0, 1),)
+    assert build_lprime(g, (exact(0, 0, 1), exact(1, 0, 1))).links == ()
 
 
 def test_matching_to_orientation_perfect_on_c4():
-    g = Multigraph(4, tuple(C4))
-    lp = build_lprime(g, ())
-    er = matching_to_orientation(g, lp, Matching((1, 0, 3, 2)))
+    i = inst(4, C4)
+    er = matching_to_orientation(i, Matching((1, 0, 3, 2)))
     assert er.t == 0
-    assert er.orientation.indegrees(g) == [0, 2, 0, 2]
+    assert er.orientation.indegrees(i.graph) == [0, 2, 0, 2]
 
 
 def test_matching_to_orientation_rejects_an_uncovered_edge():
     i = inst(3, P3, conflicts=(exact(1, 0, 1),))
     with pytest.raises(InvalidInstanceError):
-        matching_to_orientation(i.graph, lp_of(i), Matching((-1, -1)))
+        matching_to_orientation(i, Matching((-1, -1)))
     # Edge 1 is matched to vertex 2's slot, edge 0 is left exposed.
     with pytest.raises(InvalidInstanceError):
-        matching_to_orientation(i.graph, lp_of(i), Matching((-1, 4, -1, -1, 1)))
+        matching_to_orientation(i, Matching((-1, 4, -1, -1, 1)))
 
 
 def test_matching_to_orientation_routes_around_two_conflicts():
     i = inst(4, C4, conflicts=(exact(0, 3, 0), exact(2, 1, 2)))
-    lp = lp_of(i)
-    assert {(l.e1, l.e2) for l in lp.links} == {(0, 1), (2, 3)}
-    er = matching_to_orientation(i.graph, lp, Matching((1, 0, 3, 2)))
+    assert build_lprime(i.graph, i.conflicts).links == ((0, 1), (2, 3))
+    er = matching_to_orientation(i, Matching((1, 0, 3, 2)))
     assert er.t == 0
     assert er.orientation.incoming(i.graph, 0) == frozenset()
     assert er.orientation.incoming(i.graph, 2) == frozenset()
 
 
+def test_matching_to_orientation_heads_a_parallel_pair_at_its_first_unbarred_end():
+    pair = [(0, 1), (0, 1)]
+    matched = Matching((1, 0))
+    assert matching_to_orientation(inst(2, pair), matched).orientation.heads == (0, 0)
+    barred_at_0 = inst(2, pair, conflicts=(exact(0, 0, 1),))
+    assert matching_to_orientation(barred_at_0, matched).orientation.heads == (1, 1)
+    barred_at_both = inst(2, pair, conflicts=(exact(0, 0, 1), exact(1, 0, 1)))
+    with pytest.raises(InvalidInstanceError, match="is not a link"):
+        matching_to_orientation(barred_at_both, matched)
+
+
 def test_matching_to_orientation_reads_slot_nodes():
-    g = Multigraph(3, tuple(P3))
-    lp = build_lprime(g, ())
+    i = inst(3, P3)
     # Nodes 0-1 are the edges, 2-4 the slots of vertices 0-2, 5 carries no edge.
-    er = matching_to_orientation(g, lp, Matching((3, 4, -1, 0, 1, -1)))
+    er = matching_to_orientation(i, Matching((3, 4, -1, 0, 1, -1)))
     assert er.orientation.heads == (1, 2)
     assert er.odd_vertices == (1, 2)
     with pytest.raises(InvalidInstanceError):
-        matching_to_orientation(g, lp, Matching((5, -1, -1, -1, -1, 0)))
+        matching_to_orientation(i, Matching((5, -1, -1, -1, -1, 0)))
 
 
 def test_solve_eo_2dec_c4():
@@ -191,6 +176,12 @@ def test_solve_pco_2dec_rejects_overlap_and_odd_sizes():
         solve_pco_2dec(inst(4, g4, conflicts=(exact(1, 0, 1), exact(1, 1, 2))))
     with pytest.raises(InvalidInstanceError):
         solve_pco_2dec(inst(4, g4, conflicts=(exact(1, 0, 1, 2),)))
+    with pytest.raises(InvalidInstanceError):
+        solve_pco_2dec(inst(3, P3, conflicts=(subset(1, 0, 1),)))
+    with pytest.raises(InvalidInstanceError):
+        solve_pco_2dec(inst(3, P3, conflicts=(exact(1, 0),)))
+    with pytest.raises(InvalidInstanceError):
+        solve_pco_2dec(inst(3, P3, conflicts=(exact(2, 0, 1),)))
 
 
 @pytest.mark.parametrize("density", [0.3, 0.5, 0.7])

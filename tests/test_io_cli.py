@@ -126,6 +126,19 @@ def test_parse_rejects_non_canonical_id_keys(field, value, key, tmp_path, capsys
     assert "not a canonical integer" in capsys.readouterr().err
 
 
+def test_parse_rejects_a_duplicate_parity_key():
+    text = '{"version": 1, "vertices": 2, "edges": [[0, 1]], "parity": {"1": 0, "1": 1}}'
+    with pytest.raises(InvalidDocumentError, match="duplicate key '1'"):
+        io.parse_instance(text)
+
+
+def test_solve_exits_2_on_a_duplicate_top_level_key(tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text('{"version": 1, "vertices": 2, "vertices": 3, "edges": [[0, 1]]}')
+    assert main(["solve", str(path)]) == 2
+    assert "duplicate key 'vertices'" in capsys.readouterr().err
+
+
 def test_orientation_file_skips_comments_and_blanks():
     o = io.parse_orientation("# heads, one per edge\n\n1\n 2 \n")
     assert o == Orientation((1, 2))

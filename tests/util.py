@@ -19,9 +19,8 @@ from pcorient import (
     verify,
 )
 from pcorient.core import Component
-from pcorient.eo2dec import LPrimeGraph
 from pcorient.fpt import _choices, _discharged, _merge
-from pcorient.matching import SimpleGraph, _Matcher
+from pcorient.matching import _Matcher
 
 
 def inst(
@@ -171,11 +170,6 @@ def random_regular_multigraph(rng: Random, n: int, degree: int) -> Multigraph:
 
 def random_links(rng: Random, n: int, p: float) -> list[tuple[int, int]]:
     return [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
-
-
-def link_graph(lp: LPrimeGraph) -> SimpleGraph:
-    """The bare link graph of lp: one node per edge, no slots."""
-    return SimpleGraph(lp.node_count, tuple((l.e1, l.e2) for l in lp.links))
 
 
 # --- brute-force baselines --------------------------------------------------
