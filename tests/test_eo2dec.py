@@ -61,6 +61,18 @@ def test_lprime_parallel_pair_keeps_other_witness():
     assert build_lprime(g, (exact(0, 0, 1), exact(1, 0, 1))).links == ()
 
 
+def test_lprime_rejects_bad_conflicts():
+    # build_lprime trusts its conflicts; the pair route checks them at entry.
+    with pytest.raises(InvalidInstanceError):
+        solve_pco_2dec(inst(3, P3, conflicts=(subset(1, 0, 1),)))
+    with pytest.raises(InvalidInstanceError):
+        solve_pco_2dec(inst(3, P3, conflicts=(exact(1, 0),)))
+    with pytest.raises(InvalidInstanceError):
+        solve_pco_2dec(inst(3, P3, conflicts=(exact(2, 0, 1),)))
+    g4 = [(0, 1), (1, 2), (1, 3), (1, 0)]
+    with pytest.raises(InvalidInstanceError):
+        solve_pco_2dec(inst(4, g4, conflicts=(exact(1, 0, 1), exact(1, 1, 2))))
+
 def test_matching_to_orientation_perfect_on_c4():
     i = inst(4, C4)
     er = matching_to_orientation(i, Matching((1, 0, 3, 2)))
@@ -176,12 +188,6 @@ def test_solve_pco_2dec_rejects_overlap_and_odd_sizes():
         solve_pco_2dec(inst(4, g4, conflicts=(exact(1, 0, 1), exact(1, 1, 2))))
     with pytest.raises(InvalidInstanceError):
         solve_pco_2dec(inst(4, g4, conflicts=(exact(1, 0, 1, 2),)))
-    with pytest.raises(InvalidInstanceError):
-        solve_pco_2dec(inst(3, P3, conflicts=(subset(1, 0, 1),)))
-    with pytest.raises(InvalidInstanceError):
-        solve_pco_2dec(inst(3, P3, conflicts=(exact(1, 0),)))
-    with pytest.raises(InvalidInstanceError):
-        solve_pco_2dec(inst(3, P3, conflicts=(exact(2, 0, 1),)))
 
 
 @pytest.mark.parametrize("density", [0.3, 0.5, 0.7])
