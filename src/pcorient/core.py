@@ -311,6 +311,11 @@ def contract_forced(inst: Instance) -> Contraction | None:
     incident edges left, a disjunctive constraint this model cannot state.
     """
     g = inst.graph
+    if not inst.forced and all(c.size >= 2 for c in inst.conflicts):
+        # With nothing forced an exact conflict keeps every member, and
+        # a subset conflict of two or more edges forces nothing, so the
+        # fixpoint below would leave the instance as it is.
+        return Contraction(inst, tuple(range(g.edge_count)), {})
     forced = dict(inst.forced)
     # Fixpoint over forcings only. Conflicts are always judged from their
     # original edge sets; judging a shrunk set would misread a consumed

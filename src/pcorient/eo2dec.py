@@ -22,6 +22,13 @@ k and the 2u other path nodes match perfectly when k is even and leave
 one node exposed when k is odd, the counts a clique on the free slots
 would give, at 4u links and degree three at most.
 
+The matcher gets this graph as adjacency lists built once, straight
+from the incidence lists, the barred pairs and the parity map
+(build_lprime, then _slot_graph), with no list of links in between.
+Each node lists the neighbours that join in a round in increasing id
+order, round after round: the order that sorting the links and
+splitting them by round would give, so the matching is the same.
+
 The nodes join in three rounds: first the edges and the odd-target and
 free slots, then the even-target slots with their partners and every
 path node but q_2u, then q_2u. At
@@ -45,9 +52,8 @@ which they are not a conflict pair, and a slot takes a single edge.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter
 from dataclasses import dataclass, replace
-from itertools import combinations
 from typing import Callable, Sequence
 
 from .core import (
@@ -63,7 +69,7 @@ from .core import (
     verify,
 )
 from .errors import InvalidInstanceError, UnsupportedError
-from .matching import Matching, SimpleGraph, max_matching
+from .matching import Matching, Round, RoundGraph, max_matching
 from .pco import PcoResult, solve_pco
 from .reductions import ReductionMap, eo_dsc_to_eo_2dec, pco_dec_to_eo_2dec, pull_back
 from .reductions import pco_to_eo  # noqa: F401; perfbench/spans.py hooks it here by name
@@ -78,23 +84,33 @@ __all__ = [
 ]
 
 
-def build_lprime(g: Multigraph, conflicts: Sequence[Conflict]) -> SimpleGraph:
+def build_lprime(g: Multigraph, conflicts: Sequence[Conflict]) -> RoundGraph:
     """Link edges sharing an endpoint where they are not a conflict pair.
 
-    Nodes are the edge ids of g. The conflicts are taken as solve_pco_2dec
-    checks them at entry: disjoint exact pairs, incident to their vertex.
+    Nodes are the edge ids of g, joining in one round, each with its
+    linked edges in increasing order. The conflicts are taken as
+    solve_pco_2dec checks them at entry: disjoint exact pairs, incident
+    to their vertex.
     """
-    barred: dict[int, set[tuple[int, ...]]] = defaultdict(set)
+    inc = list(map(g.incident, range(g.vertex_count)))
+    # Both ends' incidence lists, merged: e itself shows up once at each
+    # end, and so does an edge parallel to e.
+    adj = [sorted(inc[x] + inc[y]) for x, y in g.edges]
+    for e, nb in enumerate(adj):
+        nb.remove(e)
+        nb.remove(e)
+    # A barred pair loses one copy of its link; a parallel pair barred at
+    # one end keeps the copy from its other end.
     for c in conflicts:
-        barred[c.vertex].add(tuple(sorted(c.edges)))
-    # incident() lists ids in increasing order, so every pair below is
-    # sorted as the barred ones are. A parallel pair shows up at both of
-    # its ends; SimpleGraph sorts the links and drops the repeat.
-    links: list[tuple[int, ...]] = []
-    for v in range(g.vertex_count):
-        bar = barred.get(v, ())
-        links += [p for p in combinations(g.incident(v), 2) if p not in bar]
-    return SimpleGraph(g.edge_count, tuple(links))
+        a, b = c.edges
+        adj[a].remove(b)
+        adj[b].remove(a)
+    # An edge parallel to e and barred at neither end is still listed twice.
+    twins = {ends for ends, k in Counter(g.edges).items() if k > 1}
+    for e, ends in enumerate(g.edges):
+        if ends in twins:
+            adj[e] = sorted(set(adj[e]))
+    return RoundGraph(g.edge_count, (Round(range(g.edge_count), list(enumerate(adj))),))
 
 
 @dataclass(frozen=True)
@@ -171,14 +187,22 @@ def solve_eo_2dec(inst: Instance) -> EoResult:
     return EoResult(er.orientation, er.odd_vertices)
 
 
-def _slot_graph(inst: Instance, lp: SimpleGraph) -> tuple[SimpleGraph, list[list[int]]]:
-    """The pair route's matching graph and the rounds it is matched in.
+def _slot_graph(inst: Instance, lp: RoundGraph) -> RoundGraph:
+    """The pair route's matching graph, joining in its three rounds.
 
     Nodes 0..m-1 are the edges, linked as in lp, and node m+v is vertex
     v's slot, linked to every edge at v. After the slots come the
     even-target slots' private partners, then the path q_0..q_2u of the
     u free slots, free slot i linked to q_2i and q_2i+1. With no free
     slot, q_0 is a lone node.
+
+    The adjacency is built here, per round, in the order a sort of the
+    links would give each node. An edge lists its lp links, then its odd
+    or free end slots in round 0, and its even end slots in round 1. An
+    odd or free slot lists its edges in round 0, and a free slot its two
+    path nodes in round 1. An even slot lists its edges, then its
+    partner, in round 1. A path node lists its free slot, then its
+    neighbours on the path. lp's lists are shared, not copied.
 
     That every edge node ends covered is checked, not proven:
     solve_pco_2dec raises RuntimeError when one is left exposed. The path
@@ -191,19 +215,43 @@ def _slot_graph(inst: Instance, lp: SimpleGraph) -> tuple[SimpleGraph, list[list
     """
     g = inst.graph
     m, n = g.edge_count, g.vertex_count
-    links = list(lp.links)
-    links += [(e, m + v) for v in range(n) for e in g.incident(v)]
-    odd = [m + v for v in range(n) if inst.parity.get(v) == 1]
-    even = [m + v for v in range(n) if inst.parity.get(v) == 0]
-    free = [m + v for v in range(n) if v not in inst.parity]
-    partners = list(range(m + n, m + n + len(even)))
-    links += zip(even, partners)
-    q = [m + n + len(even) + j for j in range(2 * len(free) + 1)]
-    links += zip(q, q[1:])
-    links += zip(free, q[::2])
-    links += zip(free, q[1::2])
-    rounds = [list(range(m)) + odd + free, even + partners + q[:-1], q[-1:]]
-    return SimpleGraph(q[-1] + 1, tuple(links)), rounds
+    inc = list(map(g.incident, range(n)))
+    target = [inst.parity.get(v) for v in range(n)]
+    odd = [v for v in range(n) if target[v] == 1]
+    even = [v for v in range(n) if target[v] == 0]
+    free = [v for v in range(n) if target[v] is None]
+    # Each vertex's slot, as a neighbour of its edges, in the round it joins.
+    early = [() if t == 0 else (m + v,) for v, t in enumerate(target)]
+    late = [(m + v,) if t == 0 else () for v, t in enumerate(target)]
+    p = m + n  # first partner
+    q = p + len(even)  # q_0
+    u = len(free)
+    path = [[m + free[j // 2]] for j in range(2 * u)]
+    for j in range(2 * u - 1):
+        path[j].append(q + j + 1)
+        path[j + 1].append(q + j)
+    first = Round(
+        [*range(m), *(m + v for v in odd), *(m + v for v in free)],
+        [
+            *lp.rounds[0].grow,
+            *((e, early[x] + early[y]) for e, (x, y) in enumerate(g.edges)),
+            *((m + v, inc[v]) for v in odd),
+            *((m + v, inc[v]) for v in free),
+        ],
+    )
+    second = Round(
+        [*(m + v for v in even), *range(p, q + 2 * u)],
+        [
+            *((e, late[x] + late[y]) for e, (x, y) in enumerate(g.edges)),
+            *((m + v, inc[v] + (p + k,)) for k, v in enumerate(even)),
+            *((p + k, (m + v,)) for k, v in enumerate(even)),
+            *((m + v, (q + 2 * i, q + 2 * i + 1)) for i, v in enumerate(free)),
+            *zip(range(q, q + 2 * u), path),
+        ],
+    )
+    last = q + 2 * u
+    third = Round([last], [(last - 1, (last,)), (last, (last - 1,))] if u else [])
+    return RoundGraph(last + 1, (first, second, third))
 
 
 def solve_pco_2dec(inst: Instance) -> EoResult | None:
@@ -234,8 +282,7 @@ def solve_pco_2dec(inst: Instance) -> EoResult | None:
                 "single-edge exact constraint is not expressible on this route"
             )
     red = con.instance
-    sg, rounds = _slot_graph(red, build_lprime(red.graph, red.conflicts))
-    matching = max_matching(sg, rounds)
+    matching = max_matching(_slot_graph(red, build_lprime(red.graph, red.conflicts)))
     if -1 in matching.mate[: red.graph.edge_count]:
         raise RuntimeError("the slot matching left an edge uncovered; matching route bug")
     er = matching_to_orientation(red, matching)

@@ -168,18 +168,24 @@ def _branch(inst: Instance) -> PcoResult:
     leaves = 0
     table = _leaf_table(inst)
 
+    def reach_leaf() -> None:
+        nonlocal leaves
+        leaves += 1
+        if leaves > limit:
+            raise RuntimeError("branch enumeration exceeded its leaf bound")
+
     def rec(i: int, forced: dict[EdgeId, VertexId]) -> PcoResult | None:
         """Search below one new forcing map; conflicts from ``i`` on are open."""
-        nonlocal leaves
         # Forcing more edges only removes orientations, so when the map's
         # free relaxation fails parity, so does every leaf below it.
         if not _leaf_feasible(table, forced):
-            leaves += i == len(inst.conflicts)
+            if i == len(inst.conflicts):
+                reach_leaf()
             return None
         while i < len(inst.conflicts) and _discharged(g, inst.conflicts[i], forced):
             i += 1
         if i == len(inst.conflicts):
-            leaves += 1
+            reach_leaf()
             res = solve_pco(Instance(g, inst.parity, (), forced))
             if not res.feasible:
                 raise RuntimeError("leaf table passed a leaf the base solver rejects")
@@ -194,8 +200,6 @@ def _branch(inst: Instance) -> PcoResult:
         return None
 
     res = rec(0, dict(inst.forced))
-    if leaves > limit:
-        raise RuntimeError("branch enumeration exceeded its leaf bound")
     if res is None:
         return PcoResult(False, None, 0, branches=leaves)
     if res.orientation is None or not verify(inst, res.orientation).ok:

@@ -6,8 +6,9 @@ order), ``parity`` (map vertex -> 0|1), ``conflicts`` (list of objects
 with ``vertex``, ``edges``, and ``kind`` "exact"|"subset"), and ``forced``
 (map edge -> head vertex). JSON object keys are strings, so the parity and
 forced maps key ids as canonical decimal strings ("3", never "03" or " 3"),
-and no object may repeat a key. Serialization is canonical: sorted keys,
-two-space indent, member edge lists ascending, one trailing newline.
+no object may repeat a key, and no conflict may list an edge twice.
+Serialization is canonical: sorted keys, two-space indent, member edge
+lists ascending, one trailing newline.
 Parsing back a serialized document and serializing again is
 byte-identical.
 
@@ -131,6 +132,9 @@ def parse_instance(text: str) -> Instance:
             isinstance(e, int) and not isinstance(e, bool) for e in members
         ):
             raise InvalidDocumentError(f"conflicts[{i}].edges must be a list of edge ids")
+        if len(set(members)) < len(members):
+            repeated = next(e for k, e in enumerate(members) if e in members[:k])
+            raise InvalidDocumentError(f"conflicts[{i}].edges repeats edge {repeated}")
         kind_name = entry.get("kind")
         try:
             kind = ConflictKind(kind_name)

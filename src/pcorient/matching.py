@@ -17,6 +17,14 @@ matching, is the same as with such a scan.
 Nodes may join in rounds. Covered nodes stay covered through every
 later augmentation, so the rounds decide which nodes a maximum matching
 covers when several choices have the same size.
+
+The matcher takes a RoundGraph: per round, the nodes that join and the
+neighbours each node gains, appended to its adjacency in the order a
+search scans them. A caller that knows its graph's structure builds
+that adjacency directly; max_matching also takes a SimpleGraph and
+rounds of nodes, and splits the sorted links into the round each joins
+in, so every node scans its neighbours in increasing id order within a
+round and round by round.
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import groupby
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 
 @dataclass(frozen=True)
@@ -48,6 +56,54 @@ class SimpleGraph:
         object.__setattr__(self, "links", tuple(canon))
 
 
+class Round(NamedTuple):
+    """Nodes that join together, and the links that join with them.
+
+    ``grow`` holds (node, neighbours) pairs: each pair's neighbours are
+    appended, in the order given, to the node's adjacency as the round
+    starts, and a node may appear in several pairs. A link joins in the
+    round of its later endpoint and is listed at both of its ends.
+    """
+
+    nodes: Sequence[int]
+    grow: Sequence[tuple[int, Sequence[int]]]
+
+
+@dataclass(frozen=True)
+class RoundGraph:
+    """A graph given as the adjacency each of its rounds adds.
+
+    Not validated: its builder puts every node in exactly one round and
+    lists each link at both ends, in the round of its later endpoint.
+    """
+
+    node_count: int
+    rounds: tuple[Round, ...]
+
+    @property
+    def links(self) -> tuple[tuple[int, int], ...]:
+        """Every link once, as (lower, upper), sorted."""
+        return tuple(sorted((v, w) for _, grow in self.rounds for v, ws in grow for w in ws if v < w))
+
+
+def _in_rounds(g: SimpleGraph, rounds: Sequence[Sequence[int]]) -> RoundGraph:
+    """g's links split into the round of their later endpoint, in link order."""
+    round_of = [-1] * g.node_count
+    for i, nodes in enumerate(rounds):
+        for v in nodes:
+            if round_of[v] != -1:
+                raise ValueError(f"node {v} is in two rounds")
+            round_of[v] = i
+    if -1 in round_of:
+        raise ValueError(f"node {round_of.index(-1)} is in no round")
+    grow: list[dict[int, list[int]]] = [{} for _ in rounds]
+    for u, v in g.links:
+        joins = grow[max(round_of[u], round_of[v])]
+        joins.setdefault(u, []).append(v)
+        joins.setdefault(v, []).append(u)
+    return RoundGraph(g.node_count, tuple(Round(nodes, list(j.items())) for nodes, j in zip(rounds, grow)))
+
+
 @dataclass(frozen=True)
 class Matching:
     """Node-disjoint link set, stored as a mate array (-1 = uncovered)."""
@@ -66,21 +122,13 @@ class Matching:
 
 
 class _Matcher:
-    def __init__(self, g: SimpleGraph, rounds: Sequence[Sequence[int]]) -> None:
+    def __init__(self, g: SimpleGraph | RoundGraph, rounds: Sequence[Sequence[int]] | None = None) -> None:
+        if isinstance(g, SimpleGraph):
+            g = _in_rounds(g, (range(g.node_count),) if rounds is None else rounds)
+        elif rounds is not None:
+            raise ValueError("a RoundGraph carries its own rounds")
         self.n = g.node_count
-        round_of = [-1] * self.n
-        for i, nodes in enumerate(rounds):
-            for v in nodes:
-                if round_of[v] != -1:
-                    raise ValueError(f"node {v} is in two rounds")
-                round_of[v] = i
-        if -1 in round_of:
-            raise ValueError(f"node {round_of.index(-1)} is in no round")
-        self.rounds = rounds
-        # A link joins in the round of its later endpoint.
-        self.joining: list[list[tuple[int, int]]] = [[] for _ in rounds]
-        for u, v in g.links:
-            self.joining[max(round_of[u], round_of[v])].append((u, v))
+        self.rounds = g.rounds
         self.adj: list[list[int]] = [[] for _ in range(self.n)]
         self.match = [-1] * self.n
         self.parent = [-1] * self.n
@@ -95,15 +143,18 @@ class _Matcher:
         # Exposed nodes joined so far; a lone one has no other end for an
         # augmenting path, so its search is skipped.
         exposed = 0
-        for nodes, links in zip(self.rounds, self.joining):
-            for u, v in links:
-                self.adj[u].append(v)
-                self.adj[v].append(u)
+        adj = self.adj
+        for nodes, grow in self.rounds:
+            linked = False
+            for v, ws in grow:
+                if ws:
+                    adj[v] += ws
+                    linked = True
             exposed += len(nodes)
             # Nodes of earlier rounds search before the new ones seed, so
             # a new node cannot take what an old one could still reach.
             # Without new links they stay as hopeless as they were.
-            for v in sorted(joined) if links else ():
+            for v in sorted(joined) if linked else ():
                 if self.match[v] == -1 and exposed > 1 and self._find_path(v):
                     exposed -= 2
             # Greedy seeding in round order; only shortens the augmentation
@@ -205,17 +256,16 @@ class _Matcher:
             v = next_v
 
 
-def max_matching(g: SimpleGraph, rounds: Sequence[Sequence[int]] | None = None) -> Matching:
+def max_matching(g: SimpleGraph | RoundGraph, rounds: Sequence[Sequence[int]] | None = None) -> Matching:
     """Maximum-cardinality matching; deterministic for equal inputs.
 
-    ``rounds`` partitions the nodes into groups that join one after
-    another; the default is one round of all nodes. A node and its links
-    take part only from its own round on. A round first searches once
-    from every still exposed node of earlier rounds, in id order, then
-    seeds greedily from its own nodes and searches from those still
-    exposed, both in the order given. It ends with a maximum matching of
-    the nodes joined so far.
+    For a SimpleGraph, ``rounds`` partitions the nodes into groups that
+    join one after another; the default is one round of all nodes. A node
+    and its links take part only from its own round on. A RoundGraph
+    carries its rounds and takes no ``rounds``. A round first searches
+    once from every still exposed node of earlier rounds, in id order,
+    if any link joined, then seeds greedily from its own nodes and
+    searches from those still exposed, both in the order given. It ends
+    with a maximum matching of the nodes joined so far.
     """
-    if rounds is None:
-        rounds = (range(g.node_count),)
     return Matching(tuple(_Matcher(g, rounds).run()))

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 
 from pcorient import (
+    Conflict,
     ConflictKind,
     Instance,
     Multigraph,
@@ -19,7 +20,8 @@ from pcorient import (
     validate_instance,
     verify,
 )
-from pcorient.errors import InvalidInstanceError
+from pcorient.core import contract_forced
+from pcorient.errors import InvalidInstanceError, UnsupportedError
 
 from strategies import instances, multigraphs
 from util import (
@@ -128,6 +130,60 @@ def test_normalize_turns_subset_singleton_into_forcing():
 
 def test_normalize_detects_contradictory_forcings():
     assert normalize(inst(3, P3, conflicts=(subset(0, 0), subset(1, 0)))) is None
+
+
+def through_the_fixpoint(i: Instance):
+    """contract_forced(i) as its fixpoint loop gives it: i plus one forced
+    edge between two new vertices, which no conflict and no target sees,
+    so only the early exit is bypassed. Returns the contraction with the
+    extra edge and vertices taken back out, None, or the raised error."""
+    g = i.graph
+    n, m = g.vertex_count, g.edge_count
+    padded = Instance(Multigraph(n + 2, g.edges + ((n, n + 1),)), i.parity, i.conflicts, {m: n + 1})
+    try:
+        con = contract_forced(padded)
+    except UnsupportedError as exc:
+        return type(exc)
+    if con is None:
+        return None
+    red = con.instance
+    unpadded = Instance(Multigraph(n, red.graph.edges), red.parity, red.conflicts, red.forced)
+    return unpadded, con.edge_origin, {e: h for e, h in con.forced_heads.items() if e != m}
+
+
+def test_contract_forced_returns_a_forced_free_instance_as_it_is():
+    for c in (exact(1, 0, 1), subset(1, 0, 1)):
+        i = inst(3, P3, {0: 1, 1: 0}, conflicts=(c,))
+        con = contract_forced(i)
+        assert con.instance is i
+        assert con.edge_origin == (0, 1) and con.forced_heads == {}
+    # A subset conflict of one edge still forces it away, and the cut edge goes.
+    con = contract_forced(inst(3, P3, conflicts=(subset(1, 0),)))
+    assert con.forced_heads == {0: 0}
+    assert con.instance.graph.edges == ((1, 2),)
+    with pytest.raises(UnsupportedError):
+        contract_forced(inst(3, P3, conflicts=(Conflict(1, frozenset(), ConflictKind.EXACT),)))
+
+
+def test_contract_forced_early_exit_agrees_with_the_fixpoint():
+    rng = Random(31)
+    shortcut = 0
+    for trial in range(1500):
+        g = rand_graph(rng, nmax=6, mmax=9)
+        kind = rng.choice((ConflictKind.EXACT, ConflictKind.SUBSET))
+        conflicts = rand_conflicts(rng, g, kind, max_count=3, max_size=3)
+        if rng.random() < 0.1:
+            conflicts += (Conflict(rng.randrange(g.vertex_count), frozenset(), kind),)
+        i = Instance(g, rand_parity(rng, g.vertex_count), conflicts)
+        con = None
+        try:
+            con = contract_forced(i)
+            got = None if con is None else (con.instance, con.edge_origin, con.forced_heads)
+        except UnsupportedError as exc:
+            got = type(exc)
+        shortcut += con is not None and con.instance is i
+        assert got == through_the_fixpoint(i), f"trial {trial}: {i}"
+    assert shortcut > 500
 
 
 def test_components_single_path():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+from itertools import combinations
 from random import Random
 
 import pytest
@@ -23,7 +24,7 @@ from pcorient import eo2dec
 from pcorient.core import contract_forced
 from pcorient.eo2dec import _slot_graph, build_lprime, matching_to_orientation
 from pcorient.errors import InvalidInstanceError, UnsupportedError
-from pcorient.matching import Matching, max_matching
+from pcorient.matching import Matching, RoundGraph, SimpleGraph, _in_rounds, max_matching
 from pcorient.oracle import decide_feasible
 from pcorient.reductions import eo_dsc_to_eo_2dec
 
@@ -39,6 +40,7 @@ from util import (
     rand_forced,
     rand_graph,
     rand_parity,
+    random_regular_multigraph,
     subset,
 )
 
@@ -237,7 +239,7 @@ def test_slot_matchings_are_pinned():
         con = contract_forced(i)
         if con is not None:
             red = con.instance
-            mate = max_matching(*_slot_graph(red, build_lprime(red.graph, red.conflicts))).mate
+            mate = max_matching(_slot_graph(red, build_lprime(red.graph, red.conflicts))).mate
             h.update(repr(mate).encode())
     assert h.hexdigest() == "708f5e30e7145bddce2d831bf32a05d6d8809e8dcb343d2e84d155a77ced61eb"
 
@@ -248,15 +250,83 @@ def test_slot_graph_free_vertex_gadget_is_linear():
         i = Instance(g, parity)
         u = g.vertex_count - len(parity)
         base = g.edge_count + g.vertex_count + sum(p == 0 for p in parity.values())
-        sg, rounds = _slot_graph(i, build_lprime(g, ()))
+        sg = _slot_graph(i, build_lprime(g, ()))
         assert sg.node_count - base == 2 * u + 1
         assert sum(b >= base for _, b in sg.links) == 4 * u
-        assert rounds[-1] == [sg.node_count - 1]
+        assert sg.rounds[-1].nodes == [sg.node_count - 1]
         degree = [0] * sg.node_count
         for a, b in sg.links:
             degree[a] += 1
             degree[b] += 1
         assert max(degree[base:]) <= 3
+
+
+def slot_links(i: Instance) -> tuple[SimpleGraph, list[list[int]]]:
+    """The slot graph link by link, with its rounds: the reference for
+    _slot_graph's direct build. Edges link at every shared end where they
+    are not a barred pair; see _slot_graph for the slots and the path."""
+    g = i.graph
+    m, n = g.edge_count, g.vertex_count
+    barred = {(c.vertex, *sorted(c.edges)) for c in i.conflicts}
+    links = [(a, b) for v in range(n) for a, b in combinations(g.incident(v), 2) if (v, a, b) not in barred]
+    links += [(e, m + v) for v in range(n) for e in g.incident(v)]
+    odd = [m + v for v in range(n) if i.parity.get(v) == 1]
+    even = [m + v for v in range(n) if i.parity.get(v) == 0]
+    free = [m + v for v in range(n) if v not in i.parity]
+    partners = list(range(m + n, m + n + len(even)))
+    links += zip(even, partners)
+    q = [m + n + len(even) + j for j in range(2 * len(free) + 1)]
+    links += zip(q, q[1:])
+    links += zip(free, q[::2])
+    links += zip(free, q[1::2])
+    return SimpleGraph(q[-1] + 1, tuple(links)), [list(range(m)) + odd + free, even + partners + q[:-1], q[-1:]]
+
+
+def round_adjacency(rg: RoundGraph) -> list[tuple[list[int], dict[int, list[int]]]]:
+    """Per round: its nodes, and each node's neighbours gained, in order."""
+    out = []
+    for nodes, grow in rg.rounds:
+        adj: dict[int, list[int]] = {}
+        for v, ws in grow:
+            adj.setdefault(v, []).extend(ws)
+        out.append((list(nodes), {v: ws for v, ws in adj.items() if ws}))
+    return out
+
+
+def test_slot_adjacency_matches_the_link_graph():
+    # The adjacency the matcher gets on the pair route must be, round by
+    # round and neighbour by neighbour, what splitting the link list gives.
+    cases = [
+        inst(3, [(0, 1), (0, 1), (1, 2)], {0: 0, 1: 1}, (exact(0, 0, 1),)),  # parallel pair barred at one end
+        inst(3, [(0, 1), (0, 1), (0, 1)], {2: 0}, (exact(0, 0, 1), exact(1, 0, 1))),  # barred at both ends
+        inst(5, [(0, 1)], {0: 1, 1: 0, 2: 0, 3: 0, 4: 1}),  # isolated even vertices; u = 0, a lone q_0
+        inst(3, P3, {0: 0, 1: 1}),  # u = 1
+        inst(4, C4, {1: 1}, (exact(0, 0, 3),)),  # u = 3
+        inst(2, []),  # nothing but free slots
+    ]
+    for seed in range(600):  # the corpus of test_slot_matchings_are_pinned
+        rng = Random(seed)
+        g = rand_graph(rng, nmax=7, mmax=13)
+        pairs = rand_disjoint_pairs(rng, g, max_count=4)
+        density = (1.0, 0.7, 0.3)[seed % 3]
+        forced = rand_forced(rng, g, frac=0.2) if seed % 4 == 0 else {}
+        i = Instance(g, rand_parity(rng, g.vertex_count, density), pairs, forced)
+        try:
+            con = contract_forced(i)
+        except UnsupportedError:
+            continue
+        if con is not None and all(c.size == 2 for c in con.instance.conflicts):
+            cases.append(con.instance)
+    for seed in range(3):
+        rng = Random(seed)
+        g = random_regular_multigraph(rng, 200, 4)
+        parity = {v: rng.randint(0, 1) for v in rng.sample(range(200), 100)}
+        cases.append(Instance(g, parity, rand_disjoint_pairs(rng, g, max_count=150)))
+    for i in cases:
+        direct = _slot_graph(i, build_lprime(i.graph, i.conflicts))
+        generic = _in_rounds(*slot_links(i))
+        assert direct.node_count == generic.node_count, i
+        assert round_adjacency(direct) == round_adjacency(generic), i
 
 
 @pytest.mark.parametrize(

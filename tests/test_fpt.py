@@ -258,6 +258,28 @@ def test_a_leaf_the_table_wrongly_passes_raises(monkeypatch):
         solve_pco_ec_fpt(i)
 
 
+def test_the_leaf_bound_stops_the_search_as_it_is_passed(monkeypatch):
+    # Path 0-1-2 with every target even: the root's relaxation passes, but
+    # each choice turns an edge into an end of degree one, so every leaf
+    # fails. Each choice repeated ten times makes 20 leaves against a bound
+    # of deg + size = 4.
+    i = inst(3, path_edges(3), parity={0: 0, 1: 0, 2: 0}, conflicts=(subset(1, 0, 1),))
+    choices = pcorient.fpt._choices
+    monkeypatch.setattr(pcorient.fpt, "_choices", lambda g, c: (d for d in choices(g, c) for _ in range(10)))
+    maps: list[dict[int, int]] = []
+
+    def spy(table, forced):
+        maps.append(dict(forced))
+        return _leaf_feasible(table, forced)
+
+    monkeypatch.setattr(pcorient.fpt, "_leaf_feasible", spy)
+    with pytest.raises(RuntimeError, match="leaf bound"):
+        solve_pco_sc_fpt(i)
+    # The root gets the empty map; every other check is a leaf.
+    assert maps[0] == {}
+    assert len(maps) - 1 == 4 + 1
+
+
 @pytest.mark.parametrize("kind", list(ConflictKind))
 def test_a_root_that_fails_parity_reaches_no_leaf(kind):
     # K4 with every target even but one: the parity sum is odd against six

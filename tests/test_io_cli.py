@@ -139,6 +139,31 @@ def test_solve_exits_2_on_a_duplicate_top_level_key(tmp_path, capsys):
     assert "duplicate key 'vertices'" in capsys.readouterr().err
 
 
+TRIANGLE_REPEATED_MEMBER = json.dumps(
+    {
+        "version": 1,
+        "vertices": 3,
+        "edges": [[0, 1], [1, 2], [0, 2]],
+        "parity": {"0": 0, "1": 0, "2": 0},
+        "conflicts": [{"vertex": 0, "edges": [0, 0], "kind": "subset"}],
+    }
+)
+
+
+def test_parse_rejects_a_repeated_conflict_member():
+    with pytest.raises(InvalidDocumentError, match=re.escape("conflicts[0].edges repeats edge 0")):
+        io.parse_instance(TRIANGLE_REPEATED_MEMBER)
+
+
+def test_solve_exits_2_on_a_repeated_conflict_member(tmp_path, capsys):
+    # Taken as a set, [0, 0] would be a one-edge subset conflict and the
+    # triangle "infeasible".
+    path = tmp_path / "doc.json"
+    path.write_text(TRIANGLE_REPEATED_MEMBER)
+    assert main(["solve", str(path)]) == 2
+    assert "conflicts[0].edges repeats edge 0" in capsys.readouterr().err
+
+
 def test_orientation_file_skips_comments_and_blanks():
     o = io.parse_orientation("# heads, one per edge\n\n1\n 2 \n")
     assert o == Orientation((1, 2))

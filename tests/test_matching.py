@@ -7,7 +7,7 @@ from random import Random
 
 import pytest
 
-from pcorient.matching import SimpleGraph, _Matcher, max_matching
+from pcorient.matching import SimpleGraph, _in_rounds, _Matcher, max_matching
 
 from util import ScanMatcher, brute_matching_size, cycle_edges, random_links
 
@@ -136,6 +136,8 @@ def test_rounds_must_partition_the_nodes():
         max_matching(g, [(0, 1)])
     with pytest.raises(ValueError):
         max_matching(g, [(0, 1), (1, 2)])
+    with pytest.raises(ValueError, match="carries its own rounds"):
+        max_matching(_in_rounds(g, [range(3)]), [range(3)])
 
 
 def test_search_state_is_back_to_its_initial_values_after_a_run(monkeypatch):
