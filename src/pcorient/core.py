@@ -297,6 +297,21 @@ class Contraction(NamedTuple):
     forced_heads: dict[EdgeId, VertexId]
 
 
+def conflict_discharged(g: Multigraph, c: Conflict, forced: Mapping[EdgeId, VertexId]) -> bool:
+    """True when the forcings already rule the conflict out.
+
+    A member forced away from the vertex can never be incoming; for an
+    exact conflict, an outside incident edge forced in keeps the incoming
+    set from matching. Either way every completion avoids the conflict.
+    """
+    v = c.vertex
+    if any(forced[e] != v for e in c.edges if e in forced):
+        return True
+    return c.kind is ConflictKind.EXACT and any(
+        forced.get(e) == v for e in g.incident(v) if e not in c.edges
+    )
+
+
 def contract_forced(inst: Instance) -> Contraction | None:
     """Remove forced edges, flipping head parities and rewriting conflicts.
 
@@ -324,9 +339,9 @@ def contract_forced(inst: Instance) -> Contraction | None:
     while changed:
         changed = False
         for c in inst.conflicts:
-            v = c.vertex
-            if any(forced.get(e, v) != v for e in c.edges if e in forced):
+            if conflict_discharged(g, c, forced):
                 continue
+            v = c.vertex
             rem = {e for e in c.edges if forced.get(e) != v}
             if c.kind is ConflictKind.SUBSET:
                 if not rem:
@@ -339,27 +354,20 @@ def contract_forced(inst: Instance) -> Contraction | None:
                     if e not in forced:
                         forced[e] = away
                         changed = True
-            else:
-                if any(forced.get(e) == v for e in g.incident(v) if e not in c.edges):
-                    continue
-                if not rem:
-                    if all(e in forced for e in g.incident(v)):
-                        return None
-                    raise UnsupportedError(
-                        f"forced edges reduce an exact conflict at vertex {v} to an "
-                        "at-least-one-incoming requirement, which is not expressible"
-                    )
+            elif not rem:
+                if all(e in forced for e in g.incident(v)):
+                    return None
+                raise UnsupportedError(
+                    f"forced edges reduce an exact conflict at vertex {v} to an "
+                    "at-least-one-incoming requirement, which is not expressible"
+                )
     if not forced:  # nothing to remove: the instance is its own contraction
         return Contraction(inst, tuple(range(g.edge_count)), forced)
     live: list[Conflict] = []
     for c in inst.conflicts:
+        if conflict_discharged(g, c, forced):
+            continue
         v = c.vertex
-        if any(forced.get(e, v) != v for e in c.edges if e in forced):
-            continue
-        if c.kind is ConflictKind.EXACT and any(
-            forced.get(e) == v for e in g.incident(v) if e not in c.edges
-        ):
-            continue
         rem = frozenset(e for e in c.edges if forced.get(e) != v)
         if not rem:
             raise RuntimeError("conflict fixpoint left an empty edge set")

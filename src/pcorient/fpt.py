@@ -29,6 +29,7 @@ from .core import (
     Multigraph,
     VertexId,
     components,
+    conflict_discharged,
     require_valid,
     verify,
 )
@@ -62,20 +63,6 @@ def _merge(forced: dict[EdgeId, VertexId], delta: dict[EdgeId, VertexId]) -> dic
             return None
         out[e] = h
     return out
-
-
-def _discharged(g: Multigraph, c: Conflict, forced: dict[EdgeId, VertexId]) -> bool:
-    """True when the accumulated forcings already rule the conflict out.
-
-    A member pinned away can never be incoming; for an exact conflict, an
-    outside incident edge pinned in keeps the incoming set from matching.
-    Either way every completion avoids the conflict, so it needs no branch.
-    """
-    if any(e in forced and forced[e] != c.vertex for e in c.edges):
-        return True
-    return c.kind is ConflictKind.EXACT and any(
-        forced.get(f) == c.vertex for f in g.incident(c.vertex) if f not in c.edges
-    )
 
 
 class _LeafTable(NamedTuple):
@@ -182,7 +169,7 @@ def _branch(inst: Instance) -> PcoResult:
             if i == len(inst.conflicts):
                 reach_leaf()
             return None
-        while i < len(inst.conflicts) and _discharged(g, inst.conflicts[i], forced):
+        while i < len(inst.conflicts) and conflict_discharged(g, inst.conflicts[i], forced):
             i += 1
         if i == len(inst.conflicts):
             reach_leaf()

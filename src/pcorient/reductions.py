@@ -11,8 +11,8 @@ back to the original edge set:
   paper's parity-to-even reduction, kept with the tests that check it.
 * ``pco_dec_to_eo_2dec``: disjoint exact conflicts of any size down to
   conflict pairs, routing each conflict of size three or more through a
-  switching network (see switching.py). An unconstrained vertex stays
-  unconstrained, so no hub is needed.
+  switching network, a chain of k - 1 cells (see switching.py). An
+  unconstrained vertex stays unconstrained, so no hub is needed.
 * ``eo_dsc_to_eo_2dec``: disjoint subset conflicts down to conflict
   pairs via a fan gadget that re-attaches the conflict edges to arm
   vertices and detects the all-inward pattern at a hub. Every original
@@ -184,9 +184,11 @@ def pco_dec_to_eo_2dec(inst: Instance) -> tuple[Instance, ReductionMap]:
     indegree; no target at all when v is unconstrained). Conflicts of
     size k >= 3 route their members through a width-k switching network
     whose first two outputs land on the outer path vertex as a conflict
-    pair and whose remaining k-2 outputs land on the inner one; network
-    right-count conservation makes that pair fire exactly when the
-    original conflict would.
+    pair and whose remaining k-2 outputs land on the inner one. By the
+    network's P1, all k members pointing in sends every output in, so a
+    conflict-free reduced orientation pulls back to a conflict-free one.
+    By its P2, any other count can keep the second output out, so every
+    conflict-free orientation has a conflict-free reduced image.
     """
     for c in inst.conflicts:
         if c.kind is not ConflictKind.EXACT:

@@ -21,13 +21,13 @@ class SwitchingNetwork:
 
     k: int
     instance: Instance
-    inputs: tuple[int, ...]  # edge a_i runs input_leaves[i] -> first stage
-    outputs: tuple[int, ...]  # edge b_i runs last stages -> output_leaves[i]
+    inputs: tuple[int, ...]  # edge a_i runs input_leaves[i] -> its cell's u
+    outputs: tuple[int, ...]  # edge b_i runs its cell's w -> output_leaves[i]
     input_leaves: tuple[int, ...]
     output_leaves: tuple[int, ...]
-    stages: tuple[int, ...]
-    copies: tuple[tuple[int, int], ...]  # (u, w) per cell
-    nonleaf_count: int
+    copies: tuple[tuple[int, int], ...]  # (u, w) per cell, in chain order
+    forward: tuple[int, ...]  # edge from cell j's w to cell j+1's u
+    nonleaf_count: int  # vertices of degree two or more
 
 
 def build_switching_network(k: int) -> SwitchingNetwork:
@@ -37,16 +37,17 @@ def build_switching_network(k: int) -> SwitchingNetwork:
     em = emit_network(b, k, output_ends=None)
     input_edges = [b.add_edge(input_leaves[i], em.input_slots[i]) for i in range(k)]
     finish_network_inputs(b, em, input_edges)
+    inst = b.build()
     return SwitchingNetwork(
         k=k,
-        instance=b.build(),
+        instance=inst,
         inputs=tuple(input_edges),
         outputs=tuple(em.outputs),
         input_leaves=tuple(input_leaves),
         output_leaves=tuple(em.output_ends),
-        stages=em.stages,
-        copies=tuple(zip(em.copy_u, em.copy_w)),
-        nonleaf_count=len(em.nonleaf_vertices),
+        copies=tuple(em.cells),
+        forward=tuple(em.forward),
+        nonleaf_count=sum(inst.graph.degree(v) > 1 for v in range(inst.graph.vertex_count)),
     )
 
 

@@ -91,7 +91,7 @@ def test_criterion_2_pair_conflicts_reduce_to_link_matching():
 
 
 def test_criterion_3_switching_networks_route_and_stay_small():
-    for k in range(2, 7):
+    for k in range(2, 8):
         net = build_switching_network(k)
         for rights in product((False, True), repeat=k):
             pats = valid_output_patterns(net, rights)

@@ -29,10 +29,12 @@ from pcorient.oracle import decide_feasible
 from pcorient.reductions import eo_dsc_to_eo_2dec
 
 from util import (
+    conflict_menu,
     cycle_edges,
     even_parity,
     exact,
     inst,
+    multigraphs_4v,
     path_edges,
     planted_instance,
     rand_disjoint_conflicts,
@@ -382,6 +384,28 @@ def test_solve_pco_dec_matches_oracle_decision():
         conflicts = rand_disjoint_pairs(rng, g, 2)
         i = Instance(g, rand_parity(rng, g.vertex_count), conflicts)
         assert solve_pco_dec(i).feasible == enumerate_best(i).feasible, f"mismatch on {i}"
+
+
+def test_solve_pco_dec_matches_the_oracle_through_every_small_network():
+    # Every exact conflict of size 3 or 4 the menu offers on a 4-vertex
+    # multigraph goes through a switching network, under criterion 4's
+    # three parity maps: all even, all set, and two odd with two free.
+    parity_maps = (even_parity(4), {0: 1, 1: 0, 2: 1, 3: 0}, {0: 1, 2: 1})
+    checked = feasible = 0
+    for g in multigraphs_4v():
+        for config in conflict_menu(g, ConflictKind.EXACT):
+            if all(c.size < 3 for c in config):
+                continue
+            for par in parity_maps:
+                i = Instance(g, par, config)
+                got = solve_pco_dec(i)
+                assert got.feasible == (decide_feasible(i) is not None), f"mismatch on {i}"
+                if got.feasible:
+                    feasible += 1
+                    assert verify(i, got.orientation).ok, i
+                checked += 1
+    assert checked == 3180
+    assert 0 < feasible < checked
 
 
 def test_solve_pco_dsc_matches_oracle_decision():

@@ -1,4 +1,4 @@
-"""Switching networks: stage structure plus the two routing properties.
+"""Switching networks: chain structure plus the two routing properties.
 
 P1: every valid orientation carries exactly as many rights out as in.
 P2: under any mixed input pattern some valid orientation routes the
@@ -8,9 +8,10 @@ first output right and the second left.
 from __future__ import annotations
 
 from itertools import product
-from math import ceil, log2
 
 import pytest
+
+from pcorient.core import ConflictKind
 
 from networks import build_switching_network, valid_output_patterns
 
@@ -23,7 +24,6 @@ def test_k_below_two_rejected():
 def test_n2_shape():
     net = build_switching_network(2)
     g = net.instance.graph
-    assert net.stages == (1,)
     assert len(net.copies) == 1
     assert g.edge_count == 6
     assert len(net.instance.conflicts) == 4
@@ -33,12 +33,30 @@ def test_n2_shape():
     assert net.instance.parity.get(net.input_leaves[0]) is None
 
 
-def test_stage_structure_matches_halving():
+def test_chain_structure():
     for k in range(2, 17):
         net = build_switching_network(k)
-        assert len(net.stages) == ceil(log2(k))
-        assert net.stages == tuple(ceil(k / 2**i) for i in range(1, len(net.stages) + 1))
-        assert len(net.copies) == sum(net.stages)
+        g = net.instance.graph
+        assert len(net.copies) == k - 1
+        assert len(net.forward) == k - 2
+        assert net.nonleaf_count == 2 * (k - 1)
+        pairs: dict[int, set[frozenset[int]]] = {}
+        for c in net.instance.conflicts:
+            assert c.kind is ConflictKind.EXACT and c.size == 2
+            pairs.setdefault(c.vertex, set()).add(c.edges)
+        assert sum(map(len, pairs.values())) == 4 * (k - 1)
+        firsts = (net.inputs[0],) + net.forward
+        for j, (u, w) in enumerate(net.copies):
+            parallel = frozenset(e for e in g.incident(u) if set(g.edges[e]) == {u, w})
+            ins = frozenset((firsts[j], net.inputs[j + 1]))
+            assert g.degree(u) == 4 and len(parallel) == 2
+            assert pairs[u] == {parallel, ins}, f"k={k} cell {j}"
+            if j == k - 2:
+                outs = frozenset(net.outputs[:2])
+            else:
+                outs = frozenset((net.forward[j], net.outputs[j + 2]))
+            assert g.degree(w) == 4
+            assert pairs[w] == {parallel, outs}, f"k={k} cell {j}"
 
 
 def test_n8_is_seven_cells():

@@ -18,8 +18,8 @@ from pcorient import (
     solve_pco,
     verify,
 )
-from pcorient.core import Component
-from pcorient.fpt import _choices, _discharged, _merge
+from pcorient.core import Component, conflict_discharged
+from pcorient.fpt import _choices, _merge
 from pcorient.matching import _Matcher
 
 
@@ -301,7 +301,7 @@ def branch_reference(inst: Instance, cut: bool = True) -> PcoResult:
             return res if res.feasible else None
         if cut and not solve_pco(Instance(g, inst.parity, (), forced)).feasible:
             return None
-        if _discharged(g, inst.conflicts[i], forced):
+        if conflict_discharged(g, inst.conflicts[i], forced):
             return rec(i + 1, forced)
         for delta in _choices(g, inst.conflicts[i]):
             nxt = _merge(forced, delta)
