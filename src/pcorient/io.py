@@ -12,8 +12,8 @@ lists ascending, one trailing newline.
 Parsing back a serialized document and serializing again is
 byte-identical.
 
-An orientation file is one head vertex per line in edge-id order; blank
-lines and ``#`` comments are skipped.
+An orientation file is one head vertex per line in edge-id order, each a
+canonical decimal integer; blank lines and ``#`` comments are skipped.
 """
 
 from __future__ import annotations
@@ -28,8 +28,9 @@ from .core import (
     Multigraph,
     Orientation,
     require_valid,
+    verify,
 )
-from .errors import InvalidDocumentError, InvalidInstanceError
+from .errors import InvalidDocumentError
 
 __all__ = [
     "FORMAT_VERSION",
@@ -47,7 +48,7 @@ _FIELDS = {"version", "vertices", "edges", "parity", "conflicts", "forced"}
 
 def _int_field(doc: dict, name: str) -> int:
     value = doc.get(name)
-    if not isinstance(value, int) or isinstance(value, bool):
+    if type(value) is not int:  # bool is an int subclass; JSON true must not read as 1
         raise InvalidDocumentError(f"field {name!r} must be an integer, got {value!r}")
     return value
 
@@ -64,7 +65,7 @@ def _id_map(doc: dict, name: str) -> dict[int, int]:
             raise InvalidDocumentError(f"field {name!r}: key {key!r} is not an integer")
         if key != str(k):  # "01", " 0" and "1_0" would alias or rename an id
             raise InvalidDocumentError(f"field {name!r}: key {key!r} is not a canonical integer")
-        if not isinstance(item, int) or isinstance(item, bool):
+        if type(item) is not int:
             raise InvalidDocumentError(f"field {name!r}: value for {key!r} must be an integer")
         out[k] = item
     return out
@@ -99,7 +100,7 @@ def parse_instance(text: str) -> Instance:
     if unknown:
         raise InvalidDocumentError(f"unknown fields: {', '.join(sorted(unknown))}")
     version = doc.get("version")
-    if version != FORMAT_VERSION:
+    if type(version) is not int or version != FORMAT_VERSION:
         raise InvalidDocumentError(f"unsupported version {version!r}, expected {FORMAT_VERSION}")
     vertices = _int_field(doc, "vertices")
     raw_edges = doc.get("edges")
@@ -110,7 +111,8 @@ def parse_instance(text: str) -> Instance:
         if (
             not isinstance(pair, list)
             or len(pair) != 2
-            or not all(isinstance(x, int) and not isinstance(x, bool) for x in pair)
+            or type(pair[0]) is not int
+            or type(pair[1]) is not int
         ):
             raise InvalidDocumentError(f"edges[{i}] must be a pair of vertex ids")
         edges.append((pair[0], pair[1]))
@@ -125,12 +127,10 @@ def parse_instance(text: str) -> Instance:
         if extra:
             raise InvalidDocumentError(f"conflicts[{i}] has unknown fields: {', '.join(sorted(extra))}")
         vertex = entry.get("vertex")
-        if not isinstance(vertex, int) or isinstance(vertex, bool):
+        if type(vertex) is not int:
             raise InvalidDocumentError(f"conflicts[{i}].vertex must be an integer")
         members = entry.get("edges")
-        if not isinstance(members, list) or not all(
-            isinstance(e, int) and not isinstance(e, bool) for e in members
-        ):
+        if not isinstance(members, list) or not all(type(e) is int for e in members):
             raise InvalidDocumentError(f"conflicts[{i}].edges must be a list of edge ids")
         if len(set(members)) < len(members):
             repeated = next(e for k, e in enumerate(members) if e in members[:k])
@@ -175,9 +175,12 @@ def parse_orientation(text: str) -> Orientation:
         if not line or line.startswith("#"):
             continue
         try:
-            heads.append(int(line))
+            head = int(line)
         except ValueError:
             raise InvalidDocumentError(f"line {lineno}: expected a vertex id, got {line!r}")
+        if str(head) != line:  # int() also reads "1_0" as 10, and "+1" and "01"
+            raise InvalidDocumentError(f"line {lineno}: vertex id {line!r} is not a canonical integer")
+        heads.append(head)
     return Orientation(tuple(heads))
 
 
@@ -194,13 +197,7 @@ def export_dot(inst: Instance, o: Orientation | None = None) -> str:
     """
     g = inst.graph
     if o is not None:
-        if len(o.heads) != g.edge_count:
-            raise InvalidInstanceError(
-                f"orientation covers {len(o.heads)} edges, instance has {g.edge_count}"
-            )
-        for e, h in enumerate(o.heads):
-            if h not in g.endpoints(e):
-                raise InvalidInstanceError(f"head {h} is not an endpoint of edge {e}")
+        verify(inst, o)  # raises on a head count or head that does not fit g
     tags: dict[int, list[str]] = defaultdict(list)
     for ci, c in enumerate(inst.conflicts):
         for e in sorted(c.edges):

@@ -20,40 +20,15 @@ covers when several choices have the same size.
 
 The matcher takes a RoundGraph: per round, the nodes that join and the
 neighbours each node gains, appended to its adjacency in the order a
-search scans them. A caller that knows its graph's structure builds
-that adjacency directly; max_matching also takes a SimpleGraph and
-rounds of nodes, and splits the sorted links into the round each joins
-in, so every node scans its neighbours in increasing id order within a
-round and round by round.
+search scans them. Its builder knows the graph's structure and lists
+the adjacency directly, with no link list to sort or split.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import groupby
 from typing import NamedTuple, Sequence
-
-
-@dataclass(frozen=True)
-class SimpleGraph:
-    """Loop-free simple graph; links are stored sorted and deduplicated."""
-
-    node_count: int
-    links: tuple[tuple[int, int], ...]
-
-    def __post_init__(self) -> None:
-        # Sorting before dropping repeats keeps the input's sorted runs,
-        # which make the sort cheap, and needs no hash table.
-        pairs = [(u, v) if u < v else (v, u) for u, v in self.links]
-        pairs.sort()
-        canon = [p for p, _ in groupby(pairs)]
-        for u, v in canon:
-            if u == v:
-                raise ValueError(f"self-link at node {u}")
-            if u < 0 or v >= self.node_count:
-                raise ValueError(f"link {u, v} outside 0..{self.node_count - 1}")
-        object.__setattr__(self, "links", tuple(canon))
 
 
 class Round(NamedTuple):
@@ -86,24 +61,6 @@ class RoundGraph:
         return tuple(sorted((v, w) for _, grow in self.rounds for v, ws in grow for w in ws if v < w))
 
 
-def _in_rounds(g: SimpleGraph, rounds: Sequence[Sequence[int]]) -> RoundGraph:
-    """g's links split into the round of their later endpoint, in link order."""
-    round_of = [-1] * g.node_count
-    for i, nodes in enumerate(rounds):
-        for v in nodes:
-            if round_of[v] != -1:
-                raise ValueError(f"node {v} is in two rounds")
-            round_of[v] = i
-    if -1 in round_of:
-        raise ValueError(f"node {round_of.index(-1)} is in no round")
-    grow: list[dict[int, list[int]]] = [{} for _ in rounds]
-    for u, v in g.links:
-        joins = grow[max(round_of[u], round_of[v])]
-        joins.setdefault(u, []).append(v)
-        joins.setdefault(v, []).append(u)
-    return RoundGraph(g.node_count, tuple(Round(nodes, list(j.items())) for nodes, j in zip(rounds, grow)))
-
-
 @dataclass(frozen=True)
 class Matching:
     """Node-disjoint link set, stored as a mate array (-1 = uncovered)."""
@@ -122,11 +79,7 @@ class Matching:
 
 
 class _Matcher:
-    def __init__(self, g: SimpleGraph | RoundGraph, rounds: Sequence[Sequence[int]] | None = None) -> None:
-        if isinstance(g, SimpleGraph):
-            g = _in_rounds(g, (range(g.node_count),) if rounds is None else rounds)
-        elif rounds is not None:
-            raise ValueError("a RoundGraph carries its own rounds")
+    def __init__(self, g: RoundGraph) -> None:
         self.n = g.node_count
         self.rounds = g.rounds
         self.adj: list[list[int]] = [[] for _ in range(self.n)]
@@ -256,16 +209,14 @@ class _Matcher:
             v = next_v
 
 
-def max_matching(g: SimpleGraph | RoundGraph, rounds: Sequence[Sequence[int]] | None = None) -> Matching:
+def max_matching(g: RoundGraph) -> Matching:
     """Maximum-cardinality matching; deterministic for equal inputs.
 
-    For a SimpleGraph, ``rounds`` partitions the nodes into groups that
-    join one after another; the default is one round of all nodes. A node
-    and its links take part only from its own round on. A RoundGraph
-    carries its rounds and takes no ``rounds``. A round first searches
+    The nodes join in g's rounds, one round after another; a node and its
+    links take part only from its own round on. A round first searches
     once from every still exposed node of earlier rounds, in id order,
     if any link joined, then seeds greedily from its own nodes and
     searches from those still exposed, both in the order given. It ends
     with a maximum matching of the nodes joined so far.
     """
-    return Matching(tuple(_Matcher(g, rounds).run()))
+    return Matching(tuple(_Matcher(g).run()))

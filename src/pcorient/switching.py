@@ -50,23 +50,22 @@ class NetEmission:
     forward: list[int] = field(default_factory=list)  # cell j's w -> cell j+1's u
     input_slots: list[int] = field(default_factory=list)  # u-vertex of each a_i
     outputs: list[int] = field(default_factory=list)  # b_1..b_k; b_1, b_2 at the root
-    output_ends: list[int] = field(default_factory=list)  # outer endpoint of each b_i
     new_vertices: list[int] = field(default_factory=list)
     new_edges: list[int] = field(default_factory=list)
 
 
-def emit_network(b: InstanceBuilder, k: int, output_ends: list[int] | None) -> NetEmission:
+def emit_network(b: InstanceBuilder, k: int, output_ends: Sequence[int]) -> NetEmission:
     """Emit the cells, forward edges and output edges of a width-k network.
 
-    ``output_ends`` gives the outer endpoint for each of the k exported
-    edges; None allocates a fresh unconstrained leaf per export instead.
+    ``output_ends`` lists the outer endpoint of b_1 .. b_k in that order,
+    each a vertex the caller has already added.
     """
     if k < 2:
         raise InvalidInstanceError(f"switching network needs width >= 2, got {k}")
     em = NetEmission(k)
 
-    def new_vertex(parity: int | None) -> int:
-        v = b.add_vertex(parity)
+    def new_vertex() -> int:
+        v = b.add_vertex(0)
         em.new_vertices.append(v)
         return v
 
@@ -76,15 +75,13 @@ def emit_network(b: InstanceBuilder, k: int, output_ends: list[int] | None) -> N
         return e
 
     def export(w: int) -> int:
-        end = new_vertex(None) if output_ends is None else output_ends[len(em.outputs)]
-        e = new_edge(w, end)
+        e = new_edge(w, output_ends[len(em.outputs)])
         em.outputs.append(e)
-        em.output_ends.append(end)
         return e
 
     for _ in range(k - 1):
-        u = new_vertex(0)
-        w = new_vertex(0)
+        u = new_vertex()
+        w = new_vertex()
         c1 = new_edge(u, w)
         c2 = new_edge(u, w)
         b.add_conflict(u, (c1, c2), ConflictKind.EXACT)

@@ -34,7 +34,8 @@ def build_switching_network(k: int) -> SwitchingNetwork:
     """Assemble a standalone network for direct property checking."""
     b = InstanceBuilder()
     input_leaves = [b.add_vertex(None) for _ in range(k)]
-    em = emit_network(b, k, output_ends=None)
+    output_leaves = [b.add_vertex(None) for _ in range(k)]
+    em = emit_network(b, k, output_leaves)
     input_edges = [b.add_edge(input_leaves[i], em.input_slots[i]) for i in range(k)]
     finish_network_inputs(b, em, input_edges)
     inst = b.build()
@@ -44,7 +45,7 @@ def build_switching_network(k: int) -> SwitchingNetwork:
         inputs=tuple(input_edges),
         outputs=tuple(em.outputs),
         input_leaves=tuple(input_leaves),
-        output_leaves=tuple(em.output_ends),
+        output_leaves=tuple(output_leaves),
         copies=tuple(em.cells),
         forward=tuple(em.forward),
         nonleaf_count=sum(inst.graph.degree(v) > 1 for v in range(inst.graph.vertex_count)),

@@ -33,7 +33,7 @@ from pcorient.eo2dec import (
 )
 from pcorient.fpt import solve_pco_ec_fpt, solve_pco_sc_fpt
 from pcorient.hardness import reduce_to_pco_2ec, reduce_to_pco_2sc
-from pcorient.matching import SimpleGraph, max_matching
+from pcorient.matching import max_matching
 from pcorient.oracle import decide_feasible, enumerate_best, iter_feasible, sat_oracle
 from pcorient.pco import solve_pco, solve_pco_max
 from pcorient.reductions import eo_dsc_to_eo_2dec, pco_dec_to_eo_2dec, pco_to_eo, pull_back
@@ -55,6 +55,7 @@ from util import (
     rand_parity,
     random_links,
     random_regular_multigraph,
+    round_graph,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -202,7 +203,7 @@ def test_criterion_6_branching_solvers_match_oracle_within_budget():
 
 
 def _matching_agrees(node_count: int, links) -> None:
-    got = max_matching(SimpleGraph(node_count, tuple(links))).size
+    got = max_matching(round_graph(node_count, links)).size
     assert got == brute_matching_size(node_count, links), (node_count, links)
 
 

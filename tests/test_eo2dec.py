@@ -24,7 +24,7 @@ from pcorient import eo2dec
 from pcorient.core import contract_forced
 from pcorient.eo2dec import _slot_graph, build_lprime, matching_to_orientation
 from pcorient.errors import InvalidInstanceError, UnsupportedError
-from pcorient.matching import Matching, RoundGraph, SimpleGraph, _in_rounds, max_matching
+from pcorient.matching import Matching, RoundGraph, max_matching
 from pcorient.oracle import decide_feasible
 from pcorient.reductions import eo_dsc_to_eo_2dec
 
@@ -43,6 +43,7 @@ from util import (
     rand_graph,
     rand_parity,
     random_regular_multigraph,
+    round_graph,
     subset,
 )
 
@@ -263,9 +264,9 @@ def test_slot_graph_free_vertex_gadget_is_linear():
         assert max(degree[base:]) <= 3
 
 
-def slot_links(i: Instance) -> tuple[SimpleGraph, list[list[int]]]:
-    """The slot graph link by link, with its rounds: the reference for
-    _slot_graph's direct build. Edges link at every shared end where they
+def slot_links(i: Instance) -> RoundGraph:
+    """The slot graph built link by link and split into its rounds: the
+    reference for _slot_graph's direct build. Edges link at every shared end where they
     are not a barred pair; see _slot_graph for the slots and the path."""
     g = i.graph
     m, n = g.edge_count, g.vertex_count
@@ -281,7 +282,7 @@ def slot_links(i: Instance) -> tuple[SimpleGraph, list[list[int]]]:
     links += zip(q, q[1:])
     links += zip(free, q[::2])
     links += zip(free, q[1::2])
-    return SimpleGraph(q[-1] + 1, tuple(links)), [list(range(m)) + odd + free, even + partners + q[:-1], q[-1:]]
+    return round_graph(q[-1] + 1, links, [list(range(m)) + odd + free, even + partners + q[:-1], q[-1:]])
 
 
 def round_adjacency(rg: RoundGraph) -> list[tuple[list[int], dict[int, list[int]]]]:
@@ -326,7 +327,7 @@ def test_slot_adjacency_matches_the_link_graph():
         cases.append(Instance(g, parity, rand_disjoint_pairs(rng, g, max_count=150)))
     for i in cases:
         direct = _slot_graph(i, build_lprime(i.graph, i.conflicts))
-        generic = _in_rounds(*slot_links(i))
+        generic = slot_links(i)
         assert direct.node_count == generic.node_count, i
         assert round_adjacency(direct) == round_adjacency(generic), i
 
@@ -386,19 +387,25 @@ def test_solve_pco_dec_matches_oracle_decision():
         assert solve_pco_dec(i).feasible == enumerate_best(i).feasible, f"mismatch on {i}"
 
 
-def test_solve_pco_dec_matches_the_oracle_through_every_small_network():
-    # Every exact conflict of size 3 or 4 the menu offers on a 4-vertex
-    # multigraph goes through a switching network, under criterion 4's
-    # three parity maps: all even, all set, and two odd with two free.
+@pytest.mark.parametrize(
+    "kind, solver",
+    [(ConflictKind.EXACT, solve_pco_dec), (ConflictKind.SUBSET, solve_pco_dsc)],
+    ids=["exact", "subset"],
+)
+def test_decision_routes_match_the_oracle_through_every_small_gadget(kind, solver):
+    # Every conflict of size 3 or 4 the menu offers on a 4-vertex
+    # multigraph goes through a switching network (exact) or a fan
+    # (subset), under criterion 4's three parity maps: all even, all set,
+    # and two odd with two free.
     parity_maps = (even_parity(4), {0: 1, 1: 0, 2: 1, 3: 0}, {0: 1, 2: 1})
     checked = feasible = 0
     for g in multigraphs_4v():
-        for config in conflict_menu(g, ConflictKind.EXACT):
+        for config in conflict_menu(g, kind):
             if all(c.size < 3 for c in config):
                 continue
             for par in parity_maps:
                 i = Instance(g, par, config)
-                got = solve_pco_dec(i)
+                got = solver(i)
                 assert got.feasible == (decide_feasible(i) is not None), f"mismatch on {i}"
                 if got.feasible:
                     feasible += 1

@@ -78,6 +78,38 @@ def test_parse_rejects_wrong_version():
         io.parse_instance(json.dumps(doc))
 
 
+TWO_EDGES = {"version": 1, "vertices": 2, "edges": [[0, 1], [0, 1]]}
+
+
+@pytest.mark.parametrize("value", [True, 1.0], ids=["true", "float"])
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"version": "X"}, "unsupported version"),
+        ({"vertices": "X"}, "field 'vertices' must be an integer"),
+        ({"edges": [[0, 1], [0, "X"]]}, "edges[1] must be a pair of vertex ids"),
+        ({"edges": [["X", 0], [0, 1]]}, "edges[0] must be a pair of vertex ids"),
+        ({"parity": {"0": "X"}}, "field 'parity': value for '0' must be an integer"),
+        ({"forced": {"0": "X"}}, "field 'forced': value for '0' must be an integer"),
+        ({"conflicts": [{"vertex": "X", "edges": [0, 1], "kind": "exact"}]}, "conflicts[0].vertex must be an integer"),
+        ({"conflicts": [{"vertex": 1, "edges": [0, "X"], "kind": "exact"}]}, "conflicts[0].edges must be a list"),
+    ],
+    ids=["version", "vertices", "edge-head", "edge-tail", "parity", "forced", "conflict-vertex", "conflict-member"],
+)
+def test_parse_rejects_true_and_floats_in_integer_fields(change, message, value):
+    # True == 1 and 1.0 == 1, but neither is a JSON integer.
+    text = json.dumps({**TWO_EDGES, **change}).replace('"X"', json.dumps(value))
+    with pytest.raises(InvalidDocumentError, match=re.escape(message)):
+        io.parse_instance(text)
+
+
+def test_solve_exits_2_on_version_true(tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({**TWO_EDGES, "version": True}))
+    assert main(["solve", str(path)]) == 2
+    assert "unsupported version True, expected 1" in capsys.readouterr().err
+
+
 def test_parse_rejects_bad_conflict_kind():
     doc = json.loads(MINIMAL)
     doc["conflicts"] = [{"vertex": 0, "edges": [0], "kind": "both"}]
@@ -173,6 +205,21 @@ def test_orientation_file_skips_comments_and_blanks():
 def test_orientation_file_reports_bad_line():
     with pytest.raises(InvalidDocumentError, match="line 3: expected a vertex id, got 'x'"):
         io.parse_orientation("0\n1\nx\n")
+
+
+@pytest.mark.parametrize("line", ["1_0", "+10", "010"])
+def test_orientation_file_rejects_non_canonical_ids(line, tmp_path, capsys):
+    # Each line reads as 10 under int(), and 10 is a head of the edge.
+    with pytest.raises(InvalidDocumentError, match=re.escape(f"line 2: vertex id {line!r} is not a canonical integer")):
+        io.parse_orientation(f"# one edge\n{line}\n")
+    doc = tmp_path / "doc.json"
+    doc.write_text(io.serialize_instance(inst(11, [(0, 10)])))
+    heads = tmp_path / "heads.txt"
+    heads.write_text("10\n")
+    assert main(["verify", str(doc), str(heads)]) == 0
+    heads.write_text(f"{line}\n")
+    assert main(["verify", str(doc), str(heads)]) == 2
+    assert f"vertex id {line!r} is not a canonical integer" in capsys.readouterr().err
 
 
 def test_export_dot_undirected():

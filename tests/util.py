@@ -20,7 +20,7 @@ from pcorient import (
 )
 from pcorient.core import Component, conflict_discharged
 from pcorient.fpt import _choices, _merge
-from pcorient.matching import _Matcher
+from pcorient.matching import Round, RoundGraph, _Matcher
 
 
 def inst(
@@ -170,6 +170,27 @@ def random_regular_multigraph(rng: Random, n: int, degree: int) -> Multigraph:
 
 def random_links(rng: Random, n: int, p: float) -> list[tuple[int, int]]:
     return [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+
+
+def round_graph(n: int, links, rounds=None) -> RoundGraph:
+    """Nodes 0..n-1 and their links in the form the matcher takes.
+
+    The links are sorted and deduplicated, then each joins in the round
+    of its later endpoint and is listed at both ends, so every node scans
+    its neighbours in increasing id order within a round. ``rounds``
+    partitions the nodes; the default is one round of all of them.
+    """
+    rounds = [range(n)] if rounds is None else rounds
+    round_of = [0] * n
+    for i, nodes in enumerate(rounds):
+        for v in nodes:
+            round_of[v] = i
+    grow: list[dict[int, list[int]]] = [{} for _ in rounds]
+    for u, v in sorted({(u, v) if u < v else (v, u) for u, v in links}):
+        joins = grow[max(round_of[u], round_of[v])]
+        joins.setdefault(u, []).append(v)
+        joins.setdefault(v, []).append(u)
+    return RoundGraph(n, tuple(Round(nodes, list(j.items())) for nodes, j in zip(rounds, grow)))
 
 
 # --- brute-force baselines --------------------------------------------------
