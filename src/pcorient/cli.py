@@ -5,7 +5,7 @@ orientation), ``verify`` (check an orientation file), ``oracle``
 (brute-force ground truth), ``generate`` (satisfiability-encoding
 instances), ``export-dot``. Exit codes: 0 feasible/ok, 1 infeasible,
 2 input error, 3 valid but unsupported configuration, 4 internal error
-(a solver's own consistency check failed).
+(a solver's own consistency check failed, or any other exception).
 """
 
 from __future__ import annotations
@@ -244,6 +244,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_UNSUPPORTED
     except RuntimeError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

@@ -42,13 +42,16 @@ def enumerate_best(inst: Instance, max_edges: int = 20) -> OracleResult:
 
     Orientations are enumerated in binary-counter order over free-edge
     bits (bit 1 points an edge at its larger endpoint), so witnesses are
-    reproducible. Refuses instances with more than ``max_edges`` edges.
+    reproducible. Refuses instances with more than ``max_edges`` edges,
+    and with more than 64 free edges, one per bit of a ``uint64``.
     """
     g = inst.graph
     n, m = g.vertex_count, g.edge_count
     if m > max_edges:
         raise OracleLimitError(f"instance has {m} edges, oracle budget is {max_edges}")
     free = [e for e in range(m) if e not in inst.forced]
+    if len(free) > 64:
+        raise OracleLimitError(f"instance has {len(free)} free edges, the sweep packs at most 64")
     bit_of = {e: j for j, e in enumerate(free)}
     hi_mask = [0] * n
     lo_mask = [0] * n

@@ -11,25 +11,23 @@ back to the original edge set:
   paper's parity-to-even reduction, kept with the tests that check it.
 * ``pco_dec_to_eo_2dec``: disjoint exact conflicts of any size down to
   conflict pairs, routing each conflict of size three or more through a
-  switching network, a chain of k - 1 cells (see switching.py). An
-  unconstrained vertex stays unconstrained, so no hub is needed.
+  switching network, a chain of k - 1 cells (see switching.py).
 * ``eo_dsc_to_eo_2dec``: disjoint subset conflicts down to conflict
   pairs via a fan gadget that re-attaches the conflict edges to arm
-  vertices and detects the all-inward pattern at a hub. Every original
-  vertex keeps its own target, odd, even or none.
+  vertices and detects the all-inward pattern at a hub.
 
-Gadget vertices are even-constrained, with one exception:
-pco_dec_to_eo_2dec leaves the inner path vertex of an unconstrained
-vertex without a target, which the pair route takes as it is. So
-pco_to_eo always returns an all-even instance, pco_dec_to_eo_2dec does
-when every input vertex has a target, and eo_dsc_to_eo_2dec only when
-the input is all-even. Construction order is fixed (vertices
-in original order, conflicts in list order, members by edge id) so a
-given input always produces the identical reduced instance.
+The two pair reductions keep every original vertex's id and add a
+gadget vertex only where a conflict needs one. A vertex that hosts no
+gadget keeps its target, odd, even or none, which the pair route takes
+as it is; each reduction says how a host's target is carried.
+Construction order is fixed (vertices in original order, conflicts in
+list order, members by edge id) so a given input always produces the
+identical reduced instance.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .core import ConflictKind, Instance, InstanceBuilder, Orientation
@@ -178,17 +176,18 @@ def _check_disjoint(inst: Instance) -> None:
 def pco_dec_to_eo_2dec(inst: Instance) -> tuple[Instance, ReductionMap]:
     """Disjoint exact conflicts of any size to disjoint conflict pairs.
 
-    Every original vertex v becomes a two- or three-vertex path: plain
-    edges re-attach to the outer path vertex, and the inner one carries
-    the parity bookkeeping (a third, pendant vertex when v wants even
-    indegree; no target at all when v is unconstrained). Conflicts of
-    size k >= 3 route their members through a width-k switching network
-    whose first two outputs land on the outer path vertex as a conflict
-    pair and whose remaining k-2 outputs land on the inner one. By the
-    network's P1, all k members pointing in sends every output in, so a
-    conflict-free reduced orientation pulls back to a conflict-free one.
-    By its P2, any other count can keep the second output out, so every
-    conflict-free orientation has a conflict-free reduced image.
+    A conflict of size k >= 3 at v routes its members through a width-k
+    switching network whose first two outputs land on v as a conflict
+    pair. A vertex hosting one or more networks becomes a two-vertex
+    path: v turns even and gains an inner vertex, joined by a link
+    edge, where the remaining k-2 outputs land. The inner vertex takes
+    target 1 - p when v wants p, and none when v is free, so the path
+    carries v's target. Every other vertex, pairs included, stays as it
+    is. By the network's P1, all k members pointing in sends every
+    output in, so a conflict-free reduced orientation pulls back to a
+    conflict-free one. By its P2, any other count can keep the second
+    output out, so every conflict-free orientation has a conflict-free
+    reduced image.
     """
     for c in inst.conflicts:
         if c.kind is not ConflictKind.EXACT:
@@ -200,25 +199,16 @@ def pco_dec_to_eo_2dec(inst: Instance) -> tuple[Instance, ReductionMap]:
     _check_disjoint(inst)
 
     g = inst.graph
-    n = g.vertex_count
+    hosts = {c.vertex for c in inst.conflicts if c.size >= 3}
     b = InstanceBuilder()
-    new_vertices: list[tuple[int, str]] = []
+    for v in range(g.vertex_count):
+        b.add_vertex(0 if v in hosts else inst.parity.get(v))
+    inner = {}
+    for v in sorted(hosts):
+        p = inst.parity.get(v)
+        inner[v] = b.add_vertex(None if p is None else 1 - p)
+    new_vertices = [(w, "path-inner") for w in inner.values()]
     new_edges: list[tuple[int, str]] = []
-
-    outer = []
-    inner = []
-    for v in range(n):
-        v1 = b.add_vertex(0)
-        v2 = b.add_vertex(0 if v in inst.parity else None)
-        outer.append(v1)
-        inner.append(v2)
-        new_vertices.append((v1, "path-outer"))
-        new_vertices.append((v2, "path-inner"))
-        if inst.parity.get(v) == 0:
-            v3 = b.add_vertex(0)
-            new_vertices.append((v3, "path-cap"))
-    # Recover cap ids without a second list: they follow their v2.
-    caps = {v: inner[v] + 1 for v in range(n) if inst.parity.get(v) == 0}
 
     # Networks for the big conflicts; their input edges are the original
     # edge images, created afterwards.
@@ -228,12 +218,12 @@ def pco_dec_to_eo_2dec(inst: Instance) -> tuple[Instance, ReductionMap]:
         if c.size < 3:
             continue
         members = sorted(c.edges)
-        ends = [outer[c.vertex]] * 2 + [inner[c.vertex]] * (c.size - 2)
+        ends = [c.vertex] * 2 + [inner[c.vertex]] * (c.size - 2)
         mark = b.edge_count
         em = emit_network(b, c.size, ends)
         for slot, e in enumerate(members):
             slot_of[(e, c.vertex)] = em.input_slots[slot]
-        b.add_conflict(outer[c.vertex], (em.outputs[0], em.outputs[1]), ConflictKind.EXACT)
+        b.add_conflict(c.vertex, (em.outputs[0], em.outputs[1]), ConflictKind.EXACT)
         emissions.append((c, em))
         new_vertices.extend((v, "net-internal") for v in em.new_vertices)
         new_edges.extend(
@@ -245,8 +235,8 @@ def pco_dec_to_eo_2dec(inst: Instance) -> tuple[Instance, ReductionMap]:
     edge_map = []
     head_map: list[HeadPair] = []
     for e, (u, v) in enumerate(g.edges):
-        au = slot_of.get((e, u), outer[u])
-        av = slot_of.get((e, v), outer[v])
+        au = slot_of.get((e, u), u)
+        av = slot_of.get((e, v), v)
         re = b.add_edge(au, av)
         edge_map.append(re)
         head_map.append(((au, u), (av, v)))
@@ -254,17 +244,13 @@ def pco_dec_to_eo_2dec(inst: Instance) -> tuple[Instance, ReductionMap]:
     for c, em in emissions:
         finish_network_inputs(b, em, [edge_map[e] for e in sorted(c.edges)])
 
-    for v in range(n):
-        e = b.add_edge(outer[v], inner[v])
-        new_edges.append((e, "path-link"))
-        if v in caps:
-            e = b.add_edge(inner[v], caps[v])
-            new_edges.append((e, "path-cap-edge"))
+    for v, w in inner.items():
+        new_edges.append((b.add_edge(v, w), "path-link"))
 
     for c in inst.conflicts:
         if c.size == 2:
             pair = tuple(edge_map[e] for e in sorted(c.edges))
-            b.add_conflict(outer[c.vertex], pair, ConflictKind.EXACT)
+            b.add_conflict(c.vertex, pair, ConflictKind.EXACT)
 
     rmap = ReductionMap(
         edge_map=tuple(edge_map),
@@ -286,14 +272,14 @@ def eo_dsc_to_eo_2dec(inst: Instance) -> tuple[Instance, ReductionMap]:
     vertices hanging off a hub; evenness propagates "member oriented
     inward" through each arm, and the hub's anchor edge back to the
     conflict vertex ends up inward exactly when an odd number of members
-    are. A pendant keeps the hub even, and for odd k a second pendant at
-    the conflict vertex repairs its parity. The all-members-inward
-    pattern, and only it, leaves the hub's incoming set equal to the
+    are. A pendant keeps the hub even. The all-members-inward pattern,
+    and only it, leaves the hub's incoming set equal to the
     anchor/pendant pair, which is the one forbidden pair.
 
-    The anchor and the second pendant keep the conflict vertex's
-    indegree parity, so every original vertex carries the input's own
-    target through: odd, even, or none. The gadget vertices are even.
+    The anchor points into the conflict vertex exactly when k plus the
+    number of inward members is odd, so a constrained vertex's target
+    turns over once for each odd-size conflict at it, and a free vertex
+    stays free. The gadget vertices are even.
     """
     for c in inst.conflicts:
         if c.kind is not ConflictKind.SUBSET:
@@ -301,9 +287,11 @@ def eo_dsc_to_eo_2dec(inst: Instance) -> tuple[Instance, ReductionMap]:
     _check_disjoint(inst)
 
     g = inst.graph
+    odd_at = Counter(c.vertex for c in inst.conflicts if c.size % 2)
     b = InstanceBuilder()
     for v in range(g.vertex_count):
-        b.add_vertex(inst.parity.get(v))
+        p = inst.parity.get(v)
+        b.add_vertex(None if p is None else (p + odd_at[v]) % 2)
 
     new_vertices: list[tuple[int, str]] = []
     new_edges: list[tuple[int, str]] = []
@@ -321,11 +309,7 @@ def eo_dsc_to_eo_2dec(inst: Instance) -> tuple[Instance, ReductionMap]:
             new_vertices.append((arm, "fan-arm"))
         pendant = b.add_vertex(0)
         new_vertices.append((pendant, "fan-pendant"))
-        parity_fix = None
-        if c.size % 2 == 1:
-            parity_fix = b.add_vertex(0)
-            new_vertices.append((parity_fix, "parity-pendant"))
-        gadgets.append((c, hub, arms, pendant, parity_fix))
+        gadgets.append((c, hub, arms, pendant))
 
     edge_map = []
     head_map: list[HeadPair] = []
@@ -336,8 +320,7 @@ def eo_dsc_to_eo_2dec(inst: Instance) -> tuple[Instance, ReductionMap]:
         edge_map.append(re)
         head_map.append(((au, u), (av, v)))
 
-    for c, hub, arms, pendant, parity_fix in gadgets:
-        mark = b.edge_count
+    for c, hub, arms, pendant in gadgets:
         for arm in arms:
             e = b.add_edge(hub, arm)
             new_edges.append((e, "fan-arm-edge"))
@@ -345,11 +328,6 @@ def eo_dsc_to_eo_2dec(inst: Instance) -> tuple[Instance, ReductionMap]:
         new_edges.append((anchor, "fan-anchor-edge"))
         brace = b.add_edge(hub, pendant)
         new_edges.append((brace, "fan-pendant-edge"))
-        if parity_fix is not None:
-            e = b.add_edge(parity_fix, c.vertex)
-            new_edges.append((e, "parity-pendant-edge"))
-        if (b.edge_count - mark) % 2:
-            raise RuntimeError("conflict fan added an odd number of edges")
         b.add_conflict(hub, (anchor, brace), ConflictKind.EXACT)
 
     rmap = ReductionMap(

@@ -22,7 +22,6 @@ from pathlib import Path
 import networkx as nx
 
 from pcorient import io
-from pcorient.cli import main, pick_route
 from pcorient.core import ConflictKind, Instance, normalize, verify
 from pcorient.eo2dec import (
     build_lprime,
@@ -132,13 +131,11 @@ def test_criterion_4_reductions_preserve_feasibility():
                     assert verify(orig, pull_back(o, rmap)).ok, orig
                 if not orig.pairwise_disjoint():
                     continue
-                if kind is ConflictKind.EXACT:
-                    _reduction_agrees(orig, *pco_dec_to_eo_2dec(orig))
-                    continue
-                # The fan carries odd and absent targets through as well.
+                reduce = pco_dec_to_eo_2dec if kind is ConflictKind.EXACT else eo_dsc_to_eo_2dec
+                # Both gadgets carry odd and absent targets through as well.
                 for par in parity_maps:
                     orig = Instance(g, par, config, {})
-                    _reduction_agrees(orig, *eo_dsc_to_eo_2dec(orig))
+                    _reduction_agrees(orig, *reduce(orig))
 
 
 ALL_CLAUSES = [tuple((v, bool(s >> v & 1)) for v in range(3)) for s in range(8)]

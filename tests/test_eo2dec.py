@@ -449,7 +449,7 @@ def test_solve_pco_dsc_reduces_once_and_leaves_free_vertices_free(monkeypatch):
     assert [v for v in range(red.graph.vertex_count) if v not in red.parity] == [2, 4]
     want, rmap = eo_dsc_to_eo_2dec(i)
     assert red == want
-    assert all(t.startswith("fan-") or t == "parity-pendant" for _, t in rmap.new_vertices)
+    assert all(t.startswith("fan-") for _, t in rmap.new_vertices)
 
 
 @pytest.mark.parametrize(

@@ -308,6 +308,15 @@ def test_cli_internal_error_exits_4(c4_file, monkeypatch, capsys):
     assert "internal error: matching route bug" in capsys.readouterr().err
 
 
+def test_cli_any_other_exception_exits_4(c4_file, monkeypatch, capsys):
+    def broken(inst):
+        raise KeyError("lost vertex")
+
+    monkeypatch.setitem(cli._DECISION_SOLVERS, "pco", broken)
+    assert main(["solve", str(c4_file), "--solver", "pco"]) == 4
+    assert "internal error: KeyError: 'lost vertex'" in capsys.readouterr().err
+
+
 def test_cli_verify_round_trip(c4_file, tmp_path, capsys):
     out = tmp_path / "heads.txt"
     assert main(["solve", str(c4_file), "-o", str(out)]) == 0
@@ -332,6 +341,13 @@ def test_cli_oracle_counts_and_exit_codes(c4_file, tmp_path, capsys):
     tri.write_text(io.serialize_instance(inst(3, cycle_edges(3), parity=even_parity(3))))
     assert main(["oracle", str(tri)]) == 1
     assert "feasible: no" in capsys.readouterr().out
+
+
+def test_cli_oracle_above_64_free_edges_is_unsupported(tmp_path, capsys):
+    big = tmp_path / "big.json"
+    big.write_text(io.serialize_instance(inst(66, cycle_edges(66), parity=even_parity(66))))
+    assert main(["oracle", "--max-edges", "100", str(big)]) == 3
+    assert "unsupported: instance has 66 free edges" in capsys.readouterr().err
 
 
 def test_cli_oracle_decision_mode(c4_file, tmp_path, capsys):

@@ -65,6 +65,12 @@ def test_budget_refusal():
     assert enumerate_best(inst(2, g[:5]), max_edges=5) is not None
 
 
+def test_sweep_refuses_more_than_64_free_edges():
+    big = inst(66, cycle_edges(66), even_parity(66))
+    with pytest.raises(OracleLimitError, match="66 free edges"):
+        enumerate_best(big, max_edges=100)
+
+
 def test_adding_a_conflict_never_helps():
     rng = Random(3319)
     for _ in range(80):

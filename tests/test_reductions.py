@@ -7,7 +7,7 @@ from random import Random
 
 import pytest
 
-from pcorient import Instance, Multigraph, Orientation, enumerate_best, verify
+from pcorient import Instance, Orientation, enumerate_best, verify
 from pcorient.errors import InvalidInstanceError
 from pcorient.oracle import decide_feasible, iter_feasible
 from pcorient.reductions import eo_dsc_to_eo_2dec, pco_dec_to_eo_2dec, pco_to_eo, pull_back
@@ -105,8 +105,8 @@ def test_dec_reduction_size_six_conflict_gets_one_network():
     i = inst(7, edges, even_parity(7), conflicts=(exact(0, *range(6)),))
     red, rmap = pco_dec_to_eo_2dec(i)
     assert roles(rmap.new_vertices, "net-internal")
-    v1 = roles(rmap.new_vertices, "path-outer")[0]  # path vertices of original 0 come first
-    v2 = roles(rmap.new_vertices, "path-inner")[0]
+    v1 = 0  # the outer end is the host vertex itself
+    (v2,) = roles(rmap.new_vertices, "path-inner")
     outputs = roles(rmap.new_edges, "net-output")
     assert len(outputs) == 6
     ends = [red.graph.endpoints(e) for e in outputs]
@@ -117,6 +117,33 @@ def test_dec_reduction_size_six_conflict_gets_one_network():
         e for e in outputs if v1 in red.graph.endpoints(e)
     )
     assert all(c.size == 2 for c in red.conflicts)
+
+
+def test_dec_reduction_adds_one_inner_vertex_per_network_host():
+    g = [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 3)]
+    pairs_only = inst(4, g, {0: 0, 1: 1}, conflicts=(exact(0, 0, 3), exact(2, 1, 2)), forced={5: 3})
+    red, rmap = pco_dec_to_eo_2dec(pairs_only)
+    assert red == pairs_only
+    assert rmap.edge_map == tuple(range(6))
+    assert rmap.new_vertices == () and rmap.new_edges == ()
+
+    # Vertex 0 hosts two networks, vertex 2 one; each host gets one inner vertex.
+    conflicts = (exact(0, 0, 3, 4), exact(2, 1, 2, 4))
+    star = [(0, v) for v in range(1, 7)] + [(1, 2), (2, 3), (2, 4)]
+    two_nets = (exact(0, 0, 1, 2), exact(0, 3, 4, 5))
+    for p in (1, 0, None):
+        parity = {} if p is None else {0: p, 2: p}
+        red, rmap = pco_dec_to_eo_2dec(inst(4, g, parity, conflicts))
+        inner = roles(rmap.new_vertices, "path-inner")
+        links = [red.graph.endpoints(e) for e in roles(rmap.new_edges, "path-link")]
+        assert links == [(0, inner[0]), (2, inner[1])]
+        assert [red.parity.get(v) for v in (0, 2)] == [0, 0]  # hosts turn even
+        assert [red.parity.get(w) for w in inner] == [None if p is None else 1 - p] * 2
+        assert {v: red.parity.get(v) for v in (1, 3)} == {v: parity.get(v) for v in (1, 3)}
+
+        red, rmap = pco_dec_to_eo_2dec(inst(7, star, parity, two_nets))
+        assert len(roles(rmap.new_vertices, "path-inner")) == 1
+        assert len(roles(rmap.new_edges, "path-link")) == 1
 
 
 def test_dec_reduction_preserves_feasibility_with_size_three_conflicts():
@@ -155,20 +182,22 @@ def test_dsc_gadget_counts_even_and_odd():
     assert len(rmap.new_edges) == 4
     assert len(red.conflicts) == 1
     assert red.conflicts[0].size == 2
+    assert red.parity[0] == 0
 
     star = inst(4, [(0, 1), (0, 2), (0, 3)], even_parity(4), conflicts=(subset(0, 0, 1, 2),))
     red3, rmap3 = eo_dsc_to_eo_2dec(star)
-    assert len(rmap3.new_vertices) == 6  # odd arm count brings the parity pendant
-    assert len(rmap3.new_edges) == 6
-    assert len(roles(rmap3.new_vertices, "parity-pendant")) == 1
+    assert len(rmap3.new_vertices) == 5  # hub, three arms, pendant
+    assert len(rmap3.new_edges) == 5
+    assert {t for _, t in rmap3.new_vertices} == {"fan-hub", "fan-arm", "fan-pendant"}
+    assert red3.parity[0] == 1  # the odd fan turns the conflict vertex's target over
 
 
-def test_dsc_gadget_adds_even_edge_counts():
+def test_dsc_gadget_adds_k_plus_two_edges():
     for k in (2, 3, 4):
         edges = [(0, v + 1) for v in range(k)]
         i = inst(k + 1, edges, even_parity(k + 1), conflicts=(subset(0, *range(k)),))
         red, rmap = eo_dsc_to_eo_2dec(i)
-        assert len(rmap.new_edges) % 2 == 0
+        assert len(rmap.new_edges) == k + 2  # k arm edges, the anchor and the brace
         assert (red.graph.edge_count - i.graph.edge_count) == len(rmap.new_edges)
 
 
@@ -200,16 +229,16 @@ def test_dsc_arm_heads_translate_back_to_the_vertex():
 
 
 def test_dsc_carries_each_target_through():
-    # Odd, even and absent targets, and an odd conflict that needs a parity pendant.
+    # Odd, even and absent targets, and an odd conflict at a constrained vertex.
     edges = [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3), (3, 4)]
     parity = {0: 1, 1: 0, 3: 1}
     i = inst(5, edges, parity, conflicts=(subset(0, 0, 1, 2), subset(2, 3, 4)))
     red, rmap = eo_dsc_to_eo_2dec(i)
-    assert {v: red.parity.get(v) for v in range(5)} == {v: parity.get(v) for v in range(5)}
+    # Vertex 0's size-3 conflict turns its target over; the rest carry theirs.
+    assert {v: red.parity.get(v) for v in range(5)} == {0: 0, 1: 0, 2: None, 3: 1, 4: None}
     gadget = [v for v, tag in rmap.new_vertices]
     assert sorted(gadget) == list(range(5, red.graph.vertex_count))
-    assert all(tag.startswith("fan-") or tag == "parity-pendant" for _, tag in rmap.new_vertices)
-    assert roles(rmap.new_vertices, "parity-pendant")
+    assert all(tag.startswith("fan-") for _, tag in rmap.new_vertices)
     assert all(red.parity.get(v) == 0 for v in gadget)
     got = decide_feasible(red)
     assert got is not None and decide_feasible(i) is not None
