@@ -12,13 +12,7 @@ from .core import (
     validate_instance,
     verify,
 )
-from .eo2dec import (
-    EoResult,
-    solve_eo_2dec,
-    solve_pco_2dec,
-    solve_pco_dec,
-    solve_pco_dsc,
-)
+from .eo2dec import solve_eo_2dec, solve_pco_2dec, solve_pco_dec, solve_pco_dsc
 from .errors import (
     InvalidDocumentError,
     InvalidInstanceError,
@@ -34,7 +28,6 @@ from .sat import SatInstance, parse_formula
 __all__ = [
     "Conflict",
     "ConflictKind",
-    "EoResult",
     "HardnessArtifact",
     "Instance",
     "InvalidDocumentError",

@@ -6,6 +6,12 @@ orientation), ``verify`` (check an orientation file), ``oracle``
 instances), ``export-dot``. Exit codes: 0 feasible/ok, 1 infeasible,
 2 input error, 3 valid but unsupported configuration, 4 internal error
 (a solver's own consistency check failed, or any other exception).
+
+Every route of ``solve`` returns a PcoResult and is reported the same
+way: a feasible result's orientation is written; an infeasible one
+prints ``infeasible``, followed by the best count when the route found
+a best orientation. Under ``--max-parities`` (exact-pair route only) a
+best orientation is written either way, with its count.
 """
 
 from __future__ import annotations
@@ -35,6 +41,8 @@ EXIT_INPUT = 2
 EXIT_UNSUPPORTED = 3
 EXIT_INTERNAL = 4
 
+# The exact-pair route stays out of this table: cmd_solve looks up
+# solve_pco_2dec in this module at call time, so it can be replaced there.
 _DECISION_SOLVERS = {
     "pco": solve_pco,
     "pco-dec": solve_pco_dec,
@@ -80,27 +88,6 @@ def pick_route(inst: Instance) -> str | None:
     return "pco-ec-fpt"
 
 
-def _solve_2dec(inst: Instance, args: argparse.Namespace) -> int:
-    er = solve_pco_2dec(inst)
-    if er is None:
-        print("infeasible: the conflicts cannot all be avoided", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    total = len(inst.parity)
-    feasible = not er.odd_vertices
-    if args.max_parities:
-        _write(args.output, io.serialize_orientation(er.orientation))
-        print(f"satisfied {er.satisfied} of {total} parity constraints", file=sys.stderr)
-        return EXIT_OK if feasible else EXIT_INFEASIBLE
-    if not feasible:
-        print(
-            f"infeasible; {er.satisfied} of {total} parity constraints are satisfiable",
-            file=sys.stderr,
-        )
-        return EXIT_INFEASIBLE
-    _write(args.output, io.serialize_orientation(er.orientation))
-    return EXIT_OK
-
-
 def cmd_solve(args: argparse.Namespace) -> int:
     inst = io.parse_instance(_read(args.instance))
     route = args.solver or pick_route(inst)
@@ -112,11 +99,17 @@ def cmd_solve(args: argparse.Namespace) -> int:
         return EXIT_INPUT
     if args.verbose:
         print(f"route: {route}", file=sys.stderr)
-    if route == "pco-2dec":
-        return _solve_2dec(inst, args)
-    res = _DECISION_SOLVERS[route](inst)
+    solve = solve_pco_2dec if route == "pco-2dec" else _DECISION_SOLVERS[route]
+    res = solve(inst)
+    total = len(inst.parity)
+    if args.max_parities and res.orientation is not None:
+        _write(args.output, io.serialize_orientation(res.orientation))
+        print(f"satisfied {res.satisfied} of {total} parity constraints", file=sys.stderr)
+        return EXIT_OK if res.feasible else EXIT_INFEASIBLE
     if not res.feasible:
-        print("infeasible", file=sys.stderr)
+        # A route that found a best orientation says how close it came.
+        best = f"; {res.satisfied} of {total} parity constraints are satisfiable"
+        print("infeasible" + (best if res.orientation is not None else ""), file=sys.stderr)
         return EXIT_INFEASIBLE
     if res.orientation is None:
         raise RuntimeError(f"route {route} reported feasible without an orientation")

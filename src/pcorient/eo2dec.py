@@ -5,6 +5,7 @@ slot graph below. solve_pco_2dec reads it directly; solve_eo_2dec is
 solve_pco_2dec with every target 0; solve_pco_dec and solve_pco_dsc
 reduce larger disjoint exact or subset conflicts to instances with
 conflict pairs and accept when no constrained vertex is left violated.
+Each returns a PcoResult.
 
 The slot graph is built on the instance left after contracting forced
 edges. Its edge nodes are the edges of G, two of them linked when they
@@ -44,8 +45,10 @@ up covered, since it needs a head; an edge left exposed is raised as a
 bug. q_2u goes last because of parity: without it, an odd number of
 free slots off the edges leaves one node exposed; with it, an even
 number does. Matching without q_2u first and adding it after keeps
-the lower of the two counts, so the exposed nodes that remain are
-exactly the violated constraints, at their fewest. Conflicts never
+the lower of the two counts. The exposed nodes off the path are then
+exactly the violated constraints, at their fewest, and the path leaves
+at most one node exposed: q_2u, or the lone q_0 when no vertex is
+free, which stays exposed always. Conflicts never
 fire: a matched pair points into the first endpoint its edges share at
 which they are not a conflict pair, and a slot takes a single edge.
 """
@@ -53,7 +56,7 @@ which they are not a conflict pair, and a slot takes a single edge.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Callable, Sequence
 
 from .core import (
@@ -70,12 +73,11 @@ from .core import (
 )
 from .errors import InvalidInstanceError, UnsupportedError
 from .matching import Matching, Round, RoundGraph, max_matching
-from .pco import PcoResult, solve_pco
+from .pco import PcoResult
 from .reductions import ReductionMap, eo_dsc_to_eo_2dec, pco_dec_to_eo_2dec, pull_back
 from .reductions import pco_to_eo  # noqa: F401; perfbench/spans.py hooks it here by name
 
 __all__ = [
-    "EoResult",
     "matching_to_orientation",
     "solve_eo_2dec",
     "solve_pco_2dec",
@@ -113,20 +115,7 @@ def build_lprime(g: Multigraph, conflicts: Sequence[Conflict]) -> RoundGraph:
     return RoundGraph(g.edge_count, (Round(range(g.edge_count), list(enumerate(adj))),))
 
 
-@dataclass(frozen=True)
-class EoResult:
-    """An orientation and the vertices left with the wrong indegree parity."""
-
-    orientation: Orientation
-    odd_vertices: tuple[int, ...]
-    satisfied: int | None = None  # met parity constraints; None for pure even solves
-
-    @property
-    def t(self) -> int:
-        return len(self.odd_vertices)
-
-
-def matching_to_orientation(inst: Instance, m: Matching) -> EoResult:
+def matching_to_orientation(inst: Instance, m: Matching) -> Orientation:
     """Matched pairs into their first unbarred shared end, slot-matched edges into their slot.
 
     Node e below edge_count is edge e of inst.graph, and node
@@ -135,10 +124,9 @@ def matching_to_orientation(inst: Instance, m: Matching) -> EoResult:
     be covered, and a matched pair must be a link: its edges share an
     endpoint at which they are not a conflict pair.
 
-    Every slot-matched edge contributes one odd vertex, and all these
-    heads are distinct, so t counts them. The result violates no
-    conflict: a matched pair arrives at an end where it is not barred,
-    and a slot takes one edge.
+    The odd vertices are the heads of the slot-matched edges, all
+    distinct. The result violates no conflict: a matched pair arrives at
+    an end where it is not barred, and a slot takes one edge.
     """
     g = inst.graph
     ne = g.edge_count
@@ -148,7 +136,6 @@ def matching_to_orientation(inst: Instance, m: Matching) -> EoResult:
         raise InvalidInstanceError(f"edge {m.mate.index(-1)} is not covered by the matching")
     barred = {(c.vertex, *sorted(c.edges)) for c in inst.conflicts}
     heads = [-1] * ne
-    odd: list[int] = []
     for a, b in m.pairs():
         if a >= ne:
             continue
@@ -156,7 +143,6 @@ def matching_to_orientation(inst: Instance, m: Matching) -> EoResult:
             if b - ne >= g.vertex_count or b - ne not in g.edges[a]:
                 raise InvalidInstanceError(f"edge {a} is matched to node {b}, not to a slot at its ends")
             heads[a] = b - ne
-            odd.append(b - ne)
             continue
         ends = g.edges[b]
         for v in g.edges[a]:
@@ -165,15 +151,17 @@ def matching_to_orientation(inst: Instance, m: Matching) -> EoResult:
                 break
         else:
             raise InvalidInstanceError(f"matched pair ({a}, {b}) is not a link")
-    return EoResult(Orientation(tuple(heads)), tuple(sorted(odd)))
+    return Orientation(tuple(heads))
 
 
-def solve_eo_2dec(inst: Instance) -> EoResult:
+def solve_eo_2dec(inst: Instance) -> PcoResult:
     """Fewest odd vertices subject to disjoint exact conflict pairs.
 
     The parity map must be empty or all zeros; this solver evens out
-    every vertex it can, as solve_pco_2dec does with every target 0.
-    Forced edges are rejected, contract them away first.
+    every vertex it can, as solve_pco_2dec does with every target 0, and
+    returns that result: satisfied counts the even vertices, so
+    vertex_count - satisfied are left odd. Forced edges are rejected,
+    contract them away first.
     """
     require_valid(inst)
     if any(p != 0 for p in inst.parity.values()):
@@ -181,10 +169,10 @@ def solve_eo_2dec(inst: Instance) -> EoResult:
     if inst.forced:
         raise InvalidInstanceError("even-orientation solver takes no forced edges")
     n = inst.graph.vertex_count
-    er = solve_pco_2dec(replace(inst, parity=dict.fromkeys(range(n), 0)))
-    if er is None:
+    res = solve_pco_2dec(replace(inst, parity=dict.fromkeys(range(n), 0)))
+    if res.orientation is None:
         raise RuntimeError("the pair route found no orientation without forced edges")
-    return EoResult(er.orientation, er.odd_vertices)
+    return res
 
 
 def _slot_graph(inst: Instance, lp: RoundGraph) -> RoundGraph:
@@ -254,14 +242,14 @@ def _slot_graph(inst: Instance, lp: RoundGraph) -> RoundGraph:
     return RoundGraph(last + 1, (first, second, third))
 
 
-def solve_pco_2dec(inst: Instance) -> EoResult | None:
+def solve_pco_2dec(inst: Instance) -> PcoResult:
     """Most parity constraints met under disjoint exact conflict pairs.
 
-    Returns None when no conflict-free orientation exists at all, which
-    takes forced edges. Otherwise odd_vertices lists the constrained
-    vertices left violated, satisfied counts the rest, and the
-    orientation fires no conflict. A forced edge that leaves a conflict
-    pair half-decided is unsupported.
+    Returns PcoResult(False, None, 0) when no conflict-free orientation
+    exists at all, which takes forced edges. Otherwise the orientation
+    fires no conflict and meets the most constraints it can: satisfied
+    counts them, and feasible says whether that is all of them. A forced
+    edge that leaves a conflict pair half-decided is unsupported.
 
     The contracted instance is solved by one matching in its slot graph
     (see the module docstring), read off by matching_to_orientation.
@@ -274,7 +262,7 @@ def solve_pco_2dec(inst: Instance) -> EoResult | None:
         raise InvalidInstanceError("conflict pairs overlap at a shared vertex")
     con = contract_forced(inst)
     if con is None:
-        return None
+        return PcoResult(False, None, 0)
     for c in con.instance.conflicts:
         if c.size < 2:
             raise UnsupportedError(
@@ -285,12 +273,11 @@ def solve_pco_2dec(inst: Instance) -> EoResult | None:
     matching = max_matching(_slot_graph(red, build_lprime(red.graph, red.conflicts)))
     if -1 in matching.mate[: red.graph.edge_count]:
         raise RuntimeError("the slot matching left an edge uncovered; matching route bug")
-    er = matching_to_orientation(red, matching)
-    o = expand_orientation(con, er.orientation)
+    o = expand_orientation(con, matching_to_orientation(red, matching))
     rep = verify(inst, o)
     if rep.conflict_violations:
         raise RuntimeError("the pair route returned a conflicted orientation")
-    return EoResult(o, rep.parity_violations, len(inst.parity) - len(rep.parity_violations))
+    return PcoResult(not rep.parity_violations, o, len(inst.parity) - len(rep.parity_violations))
 
 
 def _decide(
@@ -299,10 +286,9 @@ def _decide(
     """Decision body shared by solve_pco_dec and solve_pco_dsc.
 
     Every conflict must be of the given kind, and the conflicts pairwise
-    disjoint. After normalize and contract_forced, a conflict-free
-    remainder goes to the base solver; otherwise reduce maps it to
-    conflict pairs, and it is feasible when the pair route leaves no
-    constrained vertex violated.
+    disjoint. After normalize and contract_forced, reduce maps the
+    remainder to conflict pairs, and it is feasible when the pair route
+    meets every constraint there.
     """
     require_valid(inst)
     name = "exact" if kind is ConflictKind.EXACT else "a subset conflict"
@@ -325,16 +311,11 @@ def _decide(
             "forced edges shrink an exact conflict below two edges; the remaining "
             "single-edge constraint is unsupported"
         )
-    if not con.instance.conflicts:
-        base = solve_pco(con.instance)
-        if not base.feasible:
-            return PcoResult(False, None, 0)
-        return PcoResult(True, expand_orientation(con, base.orientation), len(inst.parity))
     red, rmap = reduce(con.instance)
-    er = solve_pco_2dec(red)
-    if er is None or er.odd_vertices:
+    res = solve_pco_2dec(red)
+    if not res.feasible:
         return PcoResult(False, None, 0)
-    o = expand_orientation(con, pull_back(er.orientation, rmap))
+    o = expand_orientation(con, pull_back(res.orientation, rmap))
     if not verify(inst, o).ok:
         raise RuntimeError("reduction returned an invalid witness")
     return PcoResult(True, o, len(inst.parity))

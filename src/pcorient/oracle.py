@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConflictKind, Instance, Orientation
+from .core import ConflictKind, Instance, Orientation, require_valid
 from .errors import InvalidInstanceError, OracleLimitError
 from .sat import SatInstance, validate_formula
 
@@ -44,7 +44,9 @@ def enumerate_best(inst: Instance, max_edges: int = 20) -> OracleResult:
     bits (bit 1 points an edge at its larger endpoint), so witnesses are
     reproducible. Refuses instances with more than ``max_edges`` edges,
     and with more than 64 free edges, one per bit of a ``uint64``.
+    Raises InvalidInstanceError on a malformed instance.
     """
+    require_valid(inst)
     g = inst.graph
     n, m = g.vertex_count, g.edge_count
     if m > max_edges:
@@ -143,8 +145,10 @@ def iter_feasible(inst: Instance):
     at which its incoming set is final; parity and exact conflicts are
     checked there, subset conflicts as soon as their last member is
     decided. Exponential in the worst case but exact, and fast on the
-    gadget-heavy instances the flat sweep cannot reach.
+    gadget-heavy instances the flat sweep cannot reach. Raises
+    InvalidInstanceError on a malformed instance, at the first step.
     """
+    require_valid(inst)
     g = inst.graph
     n, m = g.vertex_count, g.edge_count
     for v, p in inst.parity.items():

@@ -27,10 +27,23 @@ from .errors import InvalidInstanceError
 
 @dataclass(frozen=True)
 class PcoResult:
+    """What every public solver returns.
+
+    feasible: every parity constraint is met and no conflict fires.
+    orientation: a witness when feasible. feasible=False with an
+      orientation means a best orientation from a max route
+      (solve_pco_max, solve_pco_2dec, solve_eo_2dec): it fires no
+      conflict and misses as few constraints as possible. None when the
+      route found no orientation to give.
+    satisfied: parity constraints the orientation meets; 0 without one.
+    branches: the search tree's leaf count, set only by the branching
+      solvers.
+    """
+
     feasible: bool
     orientation: Orientation | None
     satisfied: int
-    branches: int | None = None  # leaf count, set only by the branching solvers
+    branches: int | None = None
 
 
 def solve_pco(inst: Instance) -> PcoResult:

@@ -83,7 +83,7 @@ def test_criterion_2_pair_conflicts_reduce_to_link_matching():
         g = rand_graph(rng, nmax=6, mmax=12)
         pairs = rand_disjoint_pairs(rng, g)
         i = Instance(g, even_parity(g.vertex_count), pairs, {})
-        t = solve_eo_2dec(i).t
+        t = g.vertex_count - solve_eo_2dec(i).satisfied
         truth = enumerate_best(i)
         sg = build_lprime(g, pairs)
         uncovered = sg.node_count - 2 * brute_matching_size(sg.node_count, sg.links)
@@ -245,7 +245,7 @@ def test_criterion_8_pair_route_scales():
             start = time.perf_counter()
             res = solve_eo_2dec(i)
             best = min(best, time.perf_counter() - start)
-        assert res.t == 0, f"n={n}: 4-regular components are even-sized"
+        assert n - res.satisfied == 0, f"n={n}: 4-regular components are even-sized"
         assert len(res.orientation.heads) == g.edge_count
         times[g.edge_count] = best
     assert times[2000] < 60.0
@@ -266,8 +266,9 @@ def test_criterion_8_pair_route_scales():
     report = verify(Instance(g, {}, tuple(pairs), {}), res.orientation)
     assert report.conflict_violations == ()
     indeg = res.orientation.indegrees(g)
-    assert sorted(v for v in range(250) if indeg[v] % 2) == sorted(res.odd_vertices)
-    assert res.t == len(res.odd_vertices)
+    odd = [v for v in range(250) if indeg[v] % 2]
+    assert sorted(verify(i, res.orientation).parity_violations) == odd
+    assert 250 - res.satisfied == len(odd)
 
 
 def _battery_transcript() -> str:

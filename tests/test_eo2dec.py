@@ -12,6 +12,8 @@ from pcorient import (
     ConflictKind,
     Instance,
     Multigraph,
+    Orientation,
+    PcoResult,
     enumerate_best,
     solve_eo_2dec,
     solve_pco,
@@ -78,11 +80,16 @@ def test_lprime_rejects_bad_conflicts():
     with pytest.raises(InvalidInstanceError):
         solve_pco_2dec(inst(4, g4, conflicts=(exact(1, 0, 1), exact(1, 1, 2))))
 
+
+def odd_vertices(g: Multigraph, o: Orientation) -> list[int]:
+    return [v for v, d in enumerate(o.indegrees(g)) if d % 2]
+
+
 def test_matching_to_orientation_perfect_on_c4():
     i = inst(4, C4)
-    er = matching_to_orientation(i, Matching((1, 0, 3, 2)))
-    assert er.t == 0
-    assert er.orientation.indegrees(i.graph) == [0, 2, 0, 2]
+    o = matching_to_orientation(i, Matching((1, 0, 3, 2)))
+    assert odd_vertices(i.graph, o) == []
+    assert o.indegrees(i.graph) == [0, 2, 0, 2]
 
 
 def test_matching_to_orientation_rejects_an_uncovered_edge():
@@ -97,18 +104,18 @@ def test_matching_to_orientation_rejects_an_uncovered_edge():
 def test_matching_to_orientation_routes_around_two_conflicts():
     i = inst(4, C4, conflicts=(exact(0, 3, 0), exact(2, 1, 2)))
     assert build_lprime(i.graph, i.conflicts).links == ((0, 1), (2, 3))
-    er = matching_to_orientation(i, Matching((1, 0, 3, 2)))
-    assert er.t == 0
-    assert er.orientation.incoming(i.graph, 0) == frozenset()
-    assert er.orientation.incoming(i.graph, 2) == frozenset()
+    o = matching_to_orientation(i, Matching((1, 0, 3, 2)))
+    assert odd_vertices(i.graph, o) == []
+    assert o.incoming(i.graph, 0) == frozenset()
+    assert o.incoming(i.graph, 2) == frozenset()
 
 
 def test_matching_to_orientation_heads_a_parallel_pair_at_its_first_unbarred_end():
     pair = [(0, 1), (0, 1)]
     matched = Matching((1, 0))
-    assert matching_to_orientation(inst(2, pair), matched).orientation.heads == (0, 0)
+    assert matching_to_orientation(inst(2, pair), matched).heads == (0, 0)
     barred_at_0 = inst(2, pair, conflicts=(exact(0, 0, 1),))
-    assert matching_to_orientation(barred_at_0, matched).orientation.heads == (1, 1)
+    assert matching_to_orientation(barred_at_0, matched).heads == (1, 1)
     barred_at_both = inst(2, pair, conflicts=(exact(0, 0, 1), exact(1, 0, 1)))
     with pytest.raises(InvalidInstanceError, match="is not a link"):
         matching_to_orientation(barred_at_both, matched)
@@ -117,24 +124,24 @@ def test_matching_to_orientation_heads_a_parallel_pair_at_its_first_unbarred_end
 def test_matching_to_orientation_reads_slot_nodes():
     i = inst(3, P3)
     # Nodes 0-1 are the edges, 2-4 the slots of vertices 0-2, 5 carries no edge.
-    er = matching_to_orientation(i, Matching((3, 4, -1, 0, 1, -1)))
-    assert er.orientation.heads == (1, 2)
-    assert er.odd_vertices == (1, 2)
+    o = matching_to_orientation(i, Matching((3, 4, -1, 0, 1, -1)))
+    assert o.heads == (1, 2)
+    assert odd_vertices(i.graph, o) == [1, 2]
     with pytest.raises(InvalidInstanceError):
         matching_to_orientation(i, Matching((5, -1, -1, -1, -1, 0)))
 
 
 def test_solve_eo_2dec_c4():
-    assert solve_eo_2dec(inst(4, C4)).t == 0
+    assert 4 - solve_eo_2dec(inst(4, C4)).satisfied == 0
 
 
 def test_solve_eo_2dec_single_edge():
     er = solve_eo_2dec(inst(2, [(0, 1)]))
-    assert er.t == 1
+    assert 2 - er.satisfied == 1
 
 
 def test_solve_eo_2dec_conflicted_path():
-    assert solve_eo_2dec(inst(3, P3, conflicts=(exact(1, 0, 1),))).t == 2
+    assert 3 - solve_eo_2dec(inst(3, P3, conflicts=(exact(1, 0, 1),))).satisfied == 2
 
 
 def test_solve_eo_2dec_matches_oracle_min_odd():
@@ -143,42 +150,43 @@ def test_solve_eo_2dec_matches_oracle_min_odd():
         g = rand_graph(rng, nmax=7, mmax=13)
         i = Instance(g, {}, rand_disjoint_pairs(rng, g, max_count=4))
         er = solve_eo_2dec(i)
+        t = g.vertex_count - er.satisfied
         want = enumerate_best(i).min_odd_vertices
-        assert er.t == want, f"seed {seed}: t={er.t} oracle={want} on {i}"
-        assert er.t % 2 == g.edge_count % 2
-        assert er.satisfied is None
+        assert t == want, f"seed {seed}: t={t} oracle={want} on {i}"
+        assert t % 2 == g.edge_count % 2
+        assert er.feasible == (t == 0)
         assert verify(i, er.orientation).conflict_violations == (), f"seed {seed}"
-        assert er.odd_vertices == tuple(
-            v for v, d in enumerate(er.orientation.indegrees(g)) if d % 2
-        ), f"seed {seed}"
+        assert t == len(odd_vertices(g, er.orientation)), f"seed {seed}"
 
 
 def test_solve_pco_2dec_path_decision():
     er = solve_pco_2dec(inst(3, P3, parity={1: 1}))
-    assert er is not None
-    assert er.odd_vertices == ()
+    assert er.orientation is not None
+    assert er.feasible
     assert er.satisfied == 1
 
 
 def test_solve_pco_2dec_triangle_best_effort():
-    er = solve_pco_2dec(inst(3, cycle_edges(3), even_parity(3)))
-    assert er is not None
+    i = inst(3, cycle_edges(3), even_parity(3))
+    er = solve_pco_2dec(i)
+    assert er.orientation is not None
+    assert not er.feasible
     assert er.satisfied == 2
-    assert len(er.odd_vertices) == 1
+    assert len(verify(i, er.orientation).parity_violations) == 1
 
 
 def test_solve_pco_2dec_c4_with_pair_matches_oracle():
     i = inst(4, C4, even_parity(4), conflicts=(exact(0, 0, 3),))
     er = solve_pco_2dec(i)
     want = enumerate_best(i)
-    assert er is not None
-    assert (er.satisfied == 4) == want.feasible
+    assert er.orientation is not None
+    assert (er.satisfied == 4) == want.feasible == er.feasible
     assert verify(i, er.orientation).conflict_violations == ()
 
 
 def test_solve_pco_2dec_unavoidable_conflict_returns_none():
     i = inst(2, [(0, 1), (0, 1)], conflicts=(exact(0, 0, 1),), forced={0: 0, 1: 0})
-    assert solve_pco_2dec(i) is None
+    assert solve_pco_2dec(i) == PcoResult(False, None, 0)
 
 
 def test_solve_pco_2dec_half_decided_pair_unsupported():
@@ -210,10 +218,11 @@ def test_solve_pco_2dec_maximizes_satisfied_parities(density):
             continue
         checked += 1
         want = enumerate_best(i)
-        if er is None:
+        if er.orientation is None:
             assert not want.feasible and want.best_satisfied_parities is None, f"seed {seed}"
             continue
         assert er.satisfied == want.best_satisfied_parities, f"seed {seed}: {i}"
+        assert er.feasible == want.feasible, f"seed {seed}"
         rep = verify(i, er.orientation)
         assert rep.conflict_violations == (), f"seed {seed}"
         assert er.satisfied == len(i.parity) - len(rep.parity_violations)
@@ -222,9 +231,11 @@ def test_solve_pco_2dec_maximizes_satisfied_parities(density):
 
 def test_slot_matchings_are_pinned():
     # Every slot-graph mate array and pair-route result on a seeded corpus,
-    # hashed together. The digest was taken when the link graph still kept
-    # each link's witness endpoints; reading the heads off the conflicts
-    # instead must leave every matching and every orientation as it was.
+    # hashed together. The result is hashed as (feasible, orientation,
+    # satisfied), which a route that found no orientation gives as
+    # (False, None, 0). The digest was first taken when the link graph
+    # still kept each link's witness endpoints; every matching and every
+    # orientation has stayed as it was since.
     h = hashlib.sha256()
     for seed in range(600):
         rng = Random(seed)
@@ -238,13 +249,13 @@ def test_slot_matchings_are_pinned():
         except UnsupportedError:
             h.update(b"unsupported")
             continue
-        h.update(repr(er).encode())
+        h.update(repr((er.feasible, er.orientation, er.satisfied)).encode())
         con = contract_forced(i)
         if con is not None:
             red = con.instance
             mate = max_matching(_slot_graph(red, build_lprime(red.graph, red.conflicts))).mate
             h.update(repr(mate).encode())
-    assert h.hexdigest() == "708f5e30e7145bddce2d831bf32a05d6d8809e8dcb343d2e84d155a77ced61eb"
+    assert h.hexdigest() == "52ece8f02c9bbbb646df81d61f1ff525167ec4e3784ce2a32e49d459dcbb3e6a"
 
 
 def test_slot_graph_free_vertex_gadget_is_linear():
@@ -359,7 +370,7 @@ def test_free_vertices_meet_every_planted_target_at_scale(max_size, solve):
 )
 def test_solve_pco_2dec_meets_one_constraint_on_minimal_repros(i):
     er = solve_pco_2dec(i)
-    assert er is not None
+    assert er.orientation is not None
     assert er.satisfied == enumerate_best(i).best_satisfied_parities == 1
     assert verify(i, er.orientation).conflict_violations == ()
 

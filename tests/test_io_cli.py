@@ -299,6 +299,45 @@ def test_cli_max_parities_requires_the_exact_pair_route(c4_file, capsys):
     assert "exact-pair route" in capsys.readouterr().err
 
 
+def _document(tmp_path, name, i):
+    path = tmp_path / f"{name}.json"
+    path.write_text(io.serialize_instance(i))
+    return path
+
+
+@pytest.mark.parametrize("flags", [[], ["--max-parities"]], ids=["decision", "max-parities"])
+def test_cli_pair_route_writes_a_feasible_orientation(tmp_path, capsys, flags):
+    i = inst(4, cycle_edges(4), even_parity(4), (exact(0, 3, 0), exact(2, 1, 2)))
+    path, out = _document(tmp_path, "pairs", i), tmp_path / "heads.txt"
+    assert main(["solve", str(path), "-v", "-o", str(out), *flags]) == 0
+    assert "route: pco-2dec\n" in capsys.readouterr().err
+    assert verify(i, io.parse_orientation(out.read_text())).ok
+
+
+def test_cli_pair_route_max_parities_writes_the_best_orientation(tmp_path, capsys):
+    i = inst(3, cycle_edges(3), even_parity(3))
+    path, out = _document(tmp_path, "tri", i), tmp_path / "heads.txt"
+    assert main(["solve", str(path), "--solver", "pco-2dec", "--max-parities", "-o", str(out)]) == 1
+    assert capsys.readouterr().err == "satisfied 2 of 3 parity constraints\n"
+    assert len(verify(i, io.parse_orientation(out.read_text())).parity_violations) == 1
+
+
+def test_cli_pair_route_reports_the_best_count_when_infeasible(tmp_path, capsys):
+    path, out = _document(tmp_path, "tri", inst(3, cycle_edges(3), even_parity(3))), tmp_path / "heads.txt"
+    assert main(["solve", str(path), "--solver", "pco-2dec", "-o", str(out)]) == 1
+    assert capsys.readouterr().err == "infeasible; 2 of 3 parity constraints are satisfiable\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [[], ["--max-parities"]], ids=["decision", "max-parities"])
+def test_cli_pair_route_unavoidable_conflict_is_infeasible(tmp_path, capsys, flags):
+    i = inst(2, [(0, 1), (0, 1)], conflicts=(exact(0, 0, 1),), forced={0: 0, 1: 0})
+    path, out = _document(tmp_path, "forced", i), tmp_path / "heads.txt"
+    assert main(["solve", str(path), "-o", str(out), *flags]) == 1
+    assert capsys.readouterr().err == "infeasible\n"
+    assert not out.exists()
+
+
 def test_cli_internal_error_exits_4(c4_file, monkeypatch, capsys):
     def broken(inst):
         raise RuntimeError("matching route bug")

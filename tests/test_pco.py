@@ -11,6 +11,7 @@ import pcorient
 from pcorient import (
     Instance,
     Multigraph,
+    PcoResult,
     components,
     enumerate_best,
     solve_pco,
@@ -18,6 +19,7 @@ from pcorient import (
     verify,
 )
 from pcorient.errors import InvalidInstanceError
+from pcorient.oracle import decide_feasible
 
 from strategies import instances
 from util import cycle_edges, even_parity, exact, inst, path_edges, rand_forced, rand_graph, rand_parity
@@ -48,20 +50,44 @@ def test_conflicts_are_rejected():
         solve_pco(i)
 
 
-@pytest.mark.parametrize("solver", sorted(n for n in pcorient.__all__ if n.startswith("solve_")))
+SOLVERS = {n: getattr(pcorient, n) for n in sorted(pcorient.__all__) if n.startswith("solve_")}
+ENTRIES = {**SOLVERS, "enumerate_best": enumerate_best, "decide_feasible": decide_feasible}
+
+
+@pytest.mark.parametrize("solver", ENTRIES)
 @pytest.mark.parametrize(
     "bad",
     [
         inst(3, [(0, 1), (1, 1)]),
+        inst(2, [(0, 0), (0, 1)], parity={0: 0}),
         inst(3, path_edges(3), parity={1: 2}),
         inst(3, path_edges(3), forced={0: 2}),
+        inst(2, [(0, 1)], forced={0: 5}),
         inst(3, [(0, 1), (1, 3)]),
+        inst(2, [(0, 1), (0, 1)], conflicts=(exact(0, 0, 7),)),
     ],
-    ids=["self-loop", "parity-2", "forced-head-off-edge", "endpoint-out-of-range"],
+    ids=[
+        "self-loop",
+        "constrained-self-loop",
+        "parity-2",
+        "forced-head-off-edge",
+        "forced-head-unknown",
+        "endpoint-out-of-range",
+        "conflict-edge-unknown",
+    ],
 )
 def test_malformed_instances_are_rejected_at_entry(solver, bad):
     with pytest.raises(InvalidInstanceError):
-        getattr(pcorient, solver)(bad)
+        ENTRIES[solver](bad)
+
+
+@pytest.mark.parametrize("solver", SOLVERS)
+def test_every_solver_returns_a_pco_result(solver):
+    i = inst(4, cycle_edges(4), even_parity(4))
+    res = SOLVERS[solver](i)
+    assert isinstance(res, PcoResult)
+    assert res.feasible and res.satisfied == 4
+    assert verify(i, res.orientation).ok
 
 
 def test_forced_edges_are_respected():
