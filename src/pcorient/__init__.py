@@ -19,7 +19,7 @@ from .errors import (
     OracleLimitError,
     UnsupportedError,
 )
-from .fpt import solve_pco_ec_fpt, solve_pco_sc_fpt
+from .fpt import solve_pco_fpt
 from .hardness import HardnessArtifact, reduce_to_pco_2ec, reduce_to_pco_2sc
 from .oracle import OracleResult, enumerate_best, sat_oracle
 from .pco import PcoResult, solve_pco, solve_pco_max
@@ -52,9 +52,8 @@ __all__ = [
     "solve_pco_2dec",
     "solve_pco_dec",
     "solve_pco_dsc",
-    "solve_pco_ec_fpt",
+    "solve_pco_fpt",
     "solve_pco_max",
-    "solve_pco_sc_fpt",
     "validate_instance",
     "verify",
 ]

@@ -4,8 +4,12 @@ Subcommands: ``solve`` (route an instance to a solver and emit the
 orientation), ``verify`` (check an orientation file), ``oracle``
 (brute-force ground truth), ``generate`` (satisfiability-encoding
 instances), ``export-dot``. Exit codes: 0 feasible/ok, 1 infeasible,
-2 input error, 3 valid but unsupported configuration, 4 internal error
-(a solver's own consistency check failed, or any other exception).
+2 input error, 3 valid input the chosen route cannot express (forced
+edges that cut a conflict down on a decision route, a single-edge exact
+conflict given ``--solver pco-dec``, an oracle sweep past its budget),
+4 internal error (a solver's own consistency check failed, or any other
+exception). ``pick_route`` has a route for every instance: whatever no
+polynomial route takes goes to the branching solver.
 
 Every route of ``solve`` returns a PcoResult and is reported the same
 way: a feasible result's orientation is written; an infeasible one
@@ -29,7 +33,7 @@ from .errors import (
     OracleLimitError,
     UnsupportedError,
 )
-from .fpt import solve_pco_ec_fpt, solve_pco_sc_fpt
+from .fpt import solve_pco_fpt
 from .hardness import reduce_to_pco_2ec, reduce_to_pco_2sc
 from .oracle import decide_feasible, enumerate_best
 from .pco import solve_pco
@@ -43,12 +47,14 @@ EXIT_INTERNAL = 4
 
 # The exact-pair route stays out of this table: cmd_solve looks up
 # solve_pco_2dec in this module at call time, so it can be replaced there.
+# Both branching names run the one branching solver. The names stay apart
+# because perfbench's generator and span table key on them.
 _DECISION_SOLVERS = {
     "pco": solve_pco,
     "pco-dec": solve_pco_dec,
     "pco-dsc": solve_pco_dsc,
-    "pco-ec-fpt": solve_pco_ec_fpt,
-    "pco-sc-fpt": solve_pco_sc_fpt,
+    "pco-ec-fpt": solve_pco_fpt,
+    "pco-sc-fpt": solve_pco_fpt,
 }
 
 
@@ -65,19 +71,21 @@ def _write(path: str | None, text: str) -> None:
             fh.write(text)
 
 
-def pick_route(inst: Instance) -> str | None:
-    """Solver for an instance's conflict shape; None when no route fits.
+def pick_route(inst: Instance) -> str:
+    """Solver for an instance's conflict shape; every instance has one.
 
     Mirrors the solver preconditions: conflict-free instances go to the
     plain parity solver, disjoint single-kind conflicts to the matching
-    polynomial route, anything overlapping (or exact with a single edge)
-    to the branching solvers. Mixed kinds have no route.
+    polynomial route, and everything else to the branching solver:
+    ``pco-sc-fpt`` when every conflict is a subset conflict, otherwise
+    ``pco-ec-fpt`` (overlapping or single-edge exact conflicts, and mixed
+    kinds).
     """
     if not inst.conflicts:
         return "pco"
     kinds = {c.kind for c in inst.conflicts}
     if len(kinds) > 1:
-        return None
+        return "pco-ec-fpt"
     disjoint = inst.pairwise_disjoint()
     if kinds == {ConflictKind.SUBSET}:
         return "pco-dsc" if disjoint else "pco-sc-fpt"
@@ -91,9 +99,6 @@ def pick_route(inst: Instance) -> str | None:
 def cmd_solve(args: argparse.Namespace) -> int:
     inst = io.parse_instance(_read(args.instance))
     route = args.solver or pick_route(inst)
-    if route is None:
-        print("unsupported: no solver route accepts mixed conflict kinds", file=sys.stderr)
-        return EXIT_UNSUPPORTED
     if args.max_parities and route != "pco-2dec":
         print("--max-parities needs the exact-pair route (pco-2dec)", file=sys.stderr)
         return EXIT_INPUT

@@ -1,10 +1,11 @@
-"""Branching solvers for overlapping conflicts, exponential in conflict count only.
+"""Branching solver for overlapping or mixed conflicts, exponential in conflict count only.
 
-The polynomial routes require pairwise-disjoint conflicts. When conflict
-sets overlap, branch instead on how each conflict is avoided: orienting a
-member edge away from the vertex always works, and for an exact conflict
-the alternative is taking every member in plus one extra incident edge,
-which overshoots the forbidden set. Each alternative is a small forcing
+The polynomial routes require pairwise-disjoint conflicts, all of one
+kind. When conflict sets overlap or the kinds mix, branch instead on how
+each conflict is avoided, taking each conflict by its own kind: orienting
+a member edge away from the vertex always works, and for an exact
+conflict the alternative is taking every member in plus one extra
+incident edge, which overshoots the forbidden set. Each alternative is a small forcing
 map merged into the forcings chosen so far; a merge that contradicts them
 prunes the branch. A leaf solution is conflict-free by construction, so a
 leaf is decided by parity alone, from a table built once per solve:
@@ -33,10 +34,9 @@ from .core import (
     require_valid,
     verify,
 )
-from .errors import InvalidInstanceError
 from .pco import PcoResult, solve_pco
 
-__all__ = ["solve_pco_ec_fpt", "solve_pco_sc_fpt"]
+__all__ = ["solve_pco_fpt"]
 
 
 def _choices(g: Multigraph, c: Conflict) -> Iterator[dict[EdgeId, VertexId]]:
@@ -194,35 +194,20 @@ def _branch(inst: Instance) -> PcoResult:
     return PcoResult(True, res.orientation, res.satisfied, branches=leaves)
 
 
-def solve_pco_sc_fpt(inst: Instance) -> PcoResult:
-    """Decide a subset-conflict instance; conflicts may overlap freely.
+def solve_pco_fpt(inst: Instance) -> PcoResult:
+    """Decide an instance whose conflicts, of either kind, may overlap freely.
 
-    One member of each conflict must point away from its vertex, so the
-    search tries each member in edge-id order, conflicts in input order.
-    First feasible leaf wins. Contradictory forcings prune a subtree, and
-    so does a forcing map whose conflict-free relaxation already fails
-    parity. ``branches`` on the result is the number of leaves reached: a
-    map made by a choice for the last conflict counts even when it fails
-    parity, while one that fails earlier cuts its leaves unreached.
-    """
-    require_valid(inst)
-    for c in inst.conflicts:
-        if c.kind is not ConflictKind.SUBSET:
-            raise InvalidInstanceError("subset branching solver got an exact conflict")
-    return _branch(inst)
-
-
-def solve_pco_ec_fpt(inst: Instance) -> PcoResult:
-    """Decide an exact-conflict instance; conflicts may overlap freely.
-
-    Per conflict, either some member points away, or all members point in
+    Per conflict, either some member points away, members tried in
+    edge-id order; or, for an exact conflict only, all members point in
     together with one extra incident edge (no such edge means that branch
-    dies). Single-member conflicts, which the polynomial routes refuse,
-    need no special case here. Exploration order, both cuts and the
-    ``branches`` field are as in ``solve_pco_sc_fpt``.
+    dies). Conflicts are taken in input order, each by its own kind, and
+    single-member exact conflicts, which the polynomial routes refuse,
+    need no special case. First feasible leaf wins. Contradictory
+    forcings prune a subtree, and so does a forcing map whose
+    conflict-free relaxation already fails parity. ``branches`` on the
+    result is the number of leaves reached: a map made by a choice for
+    the last conflict counts even when it fails parity, while one that
+    fails earlier cuts its leaves unreached.
     """
     require_valid(inst)
-    for c in inst.conflicts:
-        if c.kind is not ConflictKind.EXACT:
-            raise InvalidInstanceError("exact branching solver got a subset conflict")
     return _branch(inst)

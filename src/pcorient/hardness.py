@@ -4,7 +4,7 @@ Two generators, one per conflict kind. Both build a gadget per variable
 whose two internally consistent orientations act as the truth values, and
 a vertex per clause whose parity and conflicts admit exactly one true
 literal. The generated conflicts overlap, so these instances exercise the
-branching solvers and the oracle, not the polynomial routes.
+branching solver and the oracle, not the polynomial routes.
 
 Every vertex is even-constrained and a pendant balances total edge parity,
 so feasibility is decided entirely by the conflict structure.

@@ -30,7 +30,7 @@ from pcorient.eo2dec import (
     solve_pco_dec,
     solve_pco_dsc,
 )
-from pcorient.fpt import solve_pco_ec_fpt, solve_pco_sc_fpt
+from pcorient.fpt import solve_pco_fpt
 from pcorient.hardness import reduce_to_pco_2ec, reduce_to_pco_2sc
 from pcorient.matching import max_matching
 from pcorient.oracle import decide_feasible, enumerate_best, iter_feasible, sat_oracle
@@ -173,10 +173,8 @@ def test_criterion_5_hardness_encodings_track_satisfiability():
 
 
 def test_criterion_6_branching_solvers_match_oracle_within_budget():
-    for kind, solver, seed in (
-        (ConflictKind.EXACT, solve_pco_ec_fpt, 1006),
-        (ConflictKind.SUBSET, solve_pco_sc_fpt, 2006),
-    ):
+    # Kind None draws each conflict's kind on its own: mixed kinds.
+    for kind, seed in ((ConflictKind.EXACT, 1006), (ConflictKind.SUBSET, 2006), (None, 3006)):
         rng = random.Random(seed)
         feasible_seen = 0
         for trial in range(300):
@@ -187,7 +185,7 @@ def test_criterion_6_branching_solvers_match_oracle_within_budget():
                 rand_conflicts(rng, g, kind, max_count=3, max_size=3),
                 {},
             )
-            res = solver(i)
+            res = solve_pco_fpt(i)
             assert res.feasible == (decide_feasible(i) is not None), f"trial {trial}: {i}"
             bound = 1
             for c in i.conflicts:
@@ -293,6 +291,10 @@ def _battery_transcript() -> str:
         g = rand_graph(rng, nmax=6, mmax=9)
         cs = rand_conflicts(rng, g, ConflictKind.SUBSET, max_count=2, max_size=3)
         cases.append((f"subset-{k}", Instance(g, rand_parity(rng, g.vertex_count), cs, {})))
+    for k in range(5):
+        g = rand_graph(rng, nmax=6, mmax=9)
+        cs = rand_conflicts(rng, g, None, max_count=3, max_size=3)
+        cases.append((f"mixed-{k}", Instance(g, rand_parity(rng, g.vertex_count), cs, {})))
 
     for name, i in cases:
         emit(f"instance {name}", io.serialize_instance(i))
@@ -303,18 +305,16 @@ def _battery_transcript() -> str:
             emit(f"pco {name}", solve_pco(i))
             emit(f"pco-max {name}", solve_pco_max(i))
         else:
+            emit(f"fpt {name}", solve_pco_fpt(i))
             kinds = {c.kind for c in i.conflicts}
-            if kinds == {ConflictKind.EXACT}:
-                emit(f"ec-fpt {name}", solve_pco_ec_fpt(i))
-                if i.pairwise_disjoint() and all(c.size == 2 for c in i.conflicts):
-                    emit(f"eo-2dec {name}", solve_eo_2dec(i))
-                    emit(f"pco-2dec {name}", solve_pco_2dec(i))
-                    emit(f"pco-dec {name}", solve_pco_dec(i))
-                    emit(f"matching {name}", max_matching(build_lprime(i.graph, i.conflicts)).mate)
-            if kinds == {ConflictKind.SUBSET}:
-                emit(f"sc-fpt {name}", solve_pco_sc_fpt(i))
-                if i.pairwise_disjoint() and all(c.size >= 2 for c in i.conflicts):
-                    emit(f"pco-dsc {name}", solve_pco_dsc(i))
+            disjoint = i.pairwise_disjoint()
+            if kinds == {ConflictKind.EXACT} and disjoint and all(c.size == 2 for c in i.conflicts):
+                emit(f"eo-2dec {name}", solve_eo_2dec(i))
+                emit(f"pco-2dec {name}", solve_pco_2dec(i))
+                emit(f"pco-dec {name}", solve_pco_dec(i))
+                emit(f"matching {name}", max_matching(build_lprime(i.graph, i.conflicts)).mate)
+            if kinds == {ConflictKind.SUBSET} and disjoint and all(c.size >= 2 for c in i.conflicts):
+                emit(f"pco-dsc {name}", solve_pco_dsc(i))
 
     f1 = SatInstance(3, (ALL_CLAUSES[1], ALL_CLAUSES[6]))
     for tag, builder in (("ec", reduce_to_pco_2ec), ("sc", reduce_to_pco_2sc)):

@@ -1,4 +1,4 @@
-"""Branching solvers for overlapping conflicts, checked against backtracking."""
+"""The branching solver for overlapping or mixed conflicts, checked against backtracking."""
 
 from __future__ import annotations
 
@@ -9,9 +9,8 @@ from random import Random
 import pytest
 
 import pcorient.fpt
-from pcorient import Conflict, ConflictKind, Instance, solve_pco, solve_pco_ec_fpt, solve_pco_sc_fpt, verify
+from pcorient import Conflict, ConflictKind, Instance, solve_pco, solve_pco_fpt, verify
 from pcorient.cli import main
-from pcorient.errors import InvalidInstanceError
 from pcorient.fpt import _leaf_feasible, _leaf_table
 from pcorient.io import parse_instance
 from pcorient.oracle import decide_feasible
@@ -33,16 +32,14 @@ from util import (
 
 def test_no_conflicts_delegates_to_base_solver():
     i = inst(4, cycle_edges(4), even_parity(4))
-    base = solve_pco(i)
-    for solver in (solve_pco_ec_fpt, solve_pco_sc_fpt):
-        res = solver(i)
-        assert res.feasible and res.branches == 1
-        assert res.orientation.heads == base.orientation.heads
+    res = solve_pco_fpt(i)
+    assert res.feasible and res.branches == 1
+    assert res.orientation.heads == solve_pco(i).orientation.heads
 
 
 def test_subset_pair_on_path():
     i = inst(3, path_edges(3), parity={1: 0}, conflicts=(subset(1, 0, 1),))
-    res = solve_pco_sc_fpt(i)
+    res = solve_pco_fpt(i)
     assert res.feasible
     rep = verify(i, res.orientation)
     assert rep.ok
@@ -50,7 +47,7 @@ def test_subset_pair_on_path():
 
 def test_exact_pair_on_star():
     i = inst(4, [(0, 1), (0, 2), (0, 3)], parity={0: 0}, conflicts=(exact(0, 0, 1),))
-    res = solve_pco_ec_fpt(i)
+    res = solve_pco_fpt(i)
     assert res.feasible == (decide_feasible(i) is not None)
     if res.feasible:
         assert verify(i, res.orientation).ok
@@ -59,17 +56,21 @@ def test_exact_pair_on_star():
 def test_singleton_exact_conflict_is_handled():
     # The polynomial routes refuse this shape; branching must not.
     i = inst(3, cycle_edges(3), parity={0: 1}, conflicts=(exact(0, 0),))
-    res = solve_pco_ec_fpt(i)
+    res = solve_pco_fpt(i)
     assert res.feasible == (decide_feasible(i) is not None)
 
 
-def test_kind_mismatch_is_rejected():
-    i = inst(3, path_edges(3), conflicts=(subset(1, 0, 1),))
-    with pytest.raises(InvalidInstanceError):
-        solve_pco_ec_fpt(i)
-    j = inst(3, path_edges(3), conflicts=(exact(1, 0, 1),))
-    with pytest.raises(InvalidInstanceError):
-        solve_pco_sc_fpt(j)
+def test_mixed_kinds_are_decided_as_the_oracle_decides():
+    # Even C4: vertices 0 and 2 take both their edges, or 1 and 3 do. The
+    # subset conflict at 0 bars the first, the exact one at 1 the second,
+    # so only both together make the instance infeasible.
+    both = (subset(0, 0, 3), exact(1, 0, 1))
+    for conflicts in (both[:1], both[1:], both):
+        i = inst(4, cycle_edges(4), even_parity(4), conflicts)
+        res = solve_pco_fpt(i)
+        assert res.feasible == (decide_feasible(i) is not None) == (conflicts != both)
+        if res.feasible:
+            assert verify(i, res.orientation).ok
 
 
 def branch_limit(i: Instance) -> int:
@@ -79,7 +80,7 @@ def branch_limit(i: Instance) -> int:
     return limit
 
 
-def run_sweep(kind: ConflictKind, solver, seed: int, trials: int = 150):
+def run_sweep(kind: ConflictKind | None, seed: int, trials: int = 150):
     rng = Random(seed)
     feasible_seen = 0
     for _ in range(trials):
@@ -90,7 +91,7 @@ def run_sweep(kind: ConflictKind, solver, seed: int, trials: int = 150):
             rand_conflicts(rng, g, kind, max_count=3, max_size=3),
             rand_forced(rng, g, 0.08),
         )
-        res = solver(i)
+        res = solve_pco_fpt(i)
         want = decide_feasible(i)
         assert res.feasible == (want is not None), f"decision mismatch on {i}"
         assert res.branches is not None and res.branches <= branch_limit(i)
@@ -100,19 +101,20 @@ def run_sweep(kind: ConflictKind, solver, seed: int, trials: int = 150):
     assert feasible_seen > trials // 4
 
 
-def test_exact_sweep_matches_backtracking():
-    run_sweep(ConflictKind.EXACT, solve_pco_ec_fpt, seed=11)
+# Kind None draws each conflict's kind on its own: mixed kinds.
+KINDS = {"exact": ConflictKind.EXACT, "subset": ConflictKind.SUBSET, "mixed": None}
 
 
-def test_subset_sweep_matches_backtracking():
-    run_sweep(ConflictKind.SUBSET, solve_pco_sc_fpt, seed=22)
+@pytest.mark.parametrize("name", KINDS)
+def test_sweep_matches_backtracking(name):
+    run_sweep(KINDS[name], seed={"exact": 11, "subset": 22, "mixed": 33}[name])
 
 
 def test_overlapping_conflicts_at_one_vertex():
     # Two exact conflicts sharing an edge at the same vertex.
     g = [(0, 1), (0, 2), (0, 3), (0, 4)]
     i = inst(5, g, parity={0: 0}, conflicts=(exact(0, 0, 1), exact(0, 1, 2)))
-    res = solve_pco_ec_fpt(i)
+    res = solve_pco_fpt(i)
     assert res.feasible == (decide_feasible(i) is not None)
     if res.feasible:
         assert verify(i, res.orientation).ok
@@ -125,8 +127,8 @@ def test_deterministic_output():
         parity={0: 0, 2: 0},
         conflicts=(exact(0, 0, 5), exact(2, 1, 5)),
     )
-    a = solve_pco_ec_fpt(i)
-    b = solve_pco_ec_fpt(i)
+    a = solve_pco_fpt(i)
+    b = solve_pco_fpt(i)
     assert a.feasible == b.feasible
     assert a.branches == b.branches
     if a.feasible:
@@ -165,7 +167,7 @@ def test_deterministic_output():
 )
 def test_exploration_order_is_pinned(i, want):
     # Away edges by id first, then all-in plus an outside edge in incidence order.
-    res = solve_pco_ec_fpt(i)
+    res = solve_pco_fpt(i)
     assert (res.feasible, res.branches, res.orientation.heads) == want
 
 
@@ -173,11 +175,8 @@ def _outcome(res):
     return res.feasible, res.branches, res.orientation.heads if res.feasible else None
 
 
-SOLVERS = {ConflictKind.EXACT: solve_pco_ec_fpt, ConflictKind.SUBSET: solve_pco_sc_fpt}
-
-
-@pytest.mark.parametrize("kind, solver", SOLVERS.items())
-def test_leaf_table_search_matches_the_per_leaf_reference(kind, solver):
+@pytest.mark.parametrize("name", KINDS)
+def test_leaf_table_search_matches_the_per_leaf_reference(name):
     # The reference decides every map by solve_pco, cuts the same inner
     # nodes, and counts the same leaves. Count searches that end past
     # their first leaf, won and lost, and those cut before any leaf.
@@ -188,15 +187,15 @@ def test_leaf_table_search_matches_the_per_leaf_reference(kind, solver):
         i = Instance(
             g,
             rand_parity(rng, g.vertex_count, density=0.8),
-            rand_conflicts(rng, g, kind, max_count=4, max_size=3),
+            rand_conflicts(rng, g, KINDS[name], max_count=4, max_size=3),
             rand_forced(rng, g, frac=0.2),
         )
-        got = _outcome(solver(i))
+        got = _outcome(solve_pco_fpt(i))
         assert got == _outcome(branch_reference(i)), f"seed {seed}: {i}"
         later_leaf_wins += got[0] and got[1] > 1
         later_leaves_fail += not got[0] and got[1] > 1
         cut_before_a_leaf += not got[0] and got[1] == 0
-    # Measured: 23 / 23 / 1070 exact, 17 / 14 / 1213 subset.
+    # Measured: 23 / 23 / 1070 exact, 17 / 14 / 1213 subset, 29 / 13 / 1120 mixed.
     assert later_leaf_wins > 10 and later_leaves_fail > 10 and cut_before_a_leaf > 500
 
 
@@ -214,7 +213,7 @@ def test_the_cut_keeps_every_witness_of_the_unpruned_search():
                     rand_conflicts(rng, g, kind, max_count=5, max_size=3),
                     rand_forced(rng, g, frac=0.2),
                 )
-                got = SOLVERS[kind](i)
+                got = solve_pco_fpt(i)
                 ref = branch_reference(i, cut=False)
                 assert got.feasible == ref.feasible == (decide_feasible(i) is not None), i
                 if got.feasible:
@@ -255,7 +254,7 @@ def test_a_leaf_the_table_wrongly_passes_raises(monkeypatch):
     i = inst(4, [(0, 1), (0, 2), (0, 3)], parity={0: 1, 1: 0, 2: 0}, conflicts=(exact(0, 0, 1),))
     monkeypatch.setattr(pcorient.fpt, "_leaf_feasible", lambda table, forced: True)
     with pytest.raises(RuntimeError, match="leaf table"):
-        solve_pco_ec_fpt(i)
+        solve_pco_fpt(i)
 
 
 def test_the_leaf_bound_stops_the_search_as_it_is_passed(monkeypatch):
@@ -274,7 +273,7 @@ def test_the_leaf_bound_stops_the_search_as_it_is_passed(monkeypatch):
 
     monkeypatch.setattr(pcorient.fpt, "_leaf_feasible", spy)
     with pytest.raises(RuntimeError, match="leaf bound"):
-        solve_pco_sc_fpt(i)
+        solve_pco_fpt(i)
     # The root gets the empty map; every other check is a leaf.
     assert maps[0] == {}
     assert len(maps) - 1 == 4 + 1
@@ -289,7 +288,7 @@ def test_a_root_that_fails_parity_reaches_no_leaf(kind):
         Conflict(v, frozenset(members), kind) for v, members in ((0, (0, 1)), (0, (1, 2)), (1, (0, 3)))
     )
     i = inst(4, edges, parity={0: 1, 1: 0, 2: 0, 3: 0}, conflicts=conflicts)
-    res = SOLVERS[kind](i)
+    res = solve_pco_fpt(i)
     assert (res.feasible, res.branches) == (False, 0)
     assert decide_feasible(i) is None
     assert branch_reference(i, cut=False).branches > 0

@@ -13,7 +13,7 @@ import pytest
 
 from pcorient import cli, io
 from pcorient.cli import main, pick_route
-from pcorient.core import ConflictKind, Orientation, verify
+from pcorient.core import ConflictKind, Instance, Orientation, verify
 from pcorient.errors import InvalidDocumentError, InvalidInstanceError
 from pcorient.oracle import decide_feasible
 
@@ -24,6 +24,8 @@ from util import (
     inst,
     path_edges,
     rand_conflicts,
+    rand_disjoint_conflicts,
+    rand_disjoint_pairs,
     rand_forced,
     rand_graph,
     rand_parity,
@@ -254,7 +256,7 @@ def test_pick_route_by_conflict_shape():
     assert pick_route(inst(4, [(0, 1)] * 3 + [(1, 2)], conflicts=[exact(1, 0, 1, 2)])) == "pco-dec"
     assert pick_route(inst(4, c4, conflicts=[subset(0, 0, 3)])) == "pco-dsc"
     assert pick_route(inst(4, c4, conflicts=[subset(0, 0, 3), subset(0, 0, 1)])) == "pco-sc-fpt"
-    assert pick_route(inst(4, c4, conflicts=[exact(0, 0, 3), subset(2, 1, 2)])) is None
+    assert pick_route(inst(4, c4, conflicts=[exact(0, 0, 3), subset(2, 1, 2)])) == "pco-ec-fpt"
 
 
 @pytest.fixture()
@@ -336,6 +338,78 @@ def test_cli_pair_route_unavoidable_conflict_is_infeasible(tmp_path, capsys, fla
     assert main(["solve", str(path), "-o", str(out), *flags]) == 1
     assert capsys.readouterr().err == "infeasible\n"
     assert not out.exists()
+
+
+def test_cli_mixed_kinds_solve_on_the_branching_route(tmp_path, capsys):
+    # Even C4: vertices 0 and 2 taking both their edges fires both
+    # conflicts, so 1 and 3 must.
+    i = inst(4, cycle_edges(4), even_parity(4), (subset(0, 0, 3), exact(2, 1, 2)))
+    path, out = _document(tmp_path, "mixed", i), tmp_path / "heads.txt"
+    assert main(["solve", str(path), "-v", "-o", str(out)]) == 0
+    assert capsys.readouterr().err == "route: pco-ec-fpt\n"
+    assert main(["verify", str(path), str(out)]) == 0
+    assert capsys.readouterr().out == "ok\n"
+    flipped = _document(tmp_path, "flipped", inst(4, cycle_edges(4), {**even_parity(4), 3: 1}, i.conflicts))
+    assert main(["solve", str(flipped), "-o", str(out)]) == 1
+    assert capsys.readouterr().err == "infeasible\n"
+
+
+@pytest.mark.parametrize(
+    "conflicts",
+    [(exact(0, 0, 3), exact(2, 1)), (subset(0, 0, 3), subset(0, 0)), (subset(0, 0, 3), exact(2, 1, 2))],
+    ids=["exact", "subset", "mixed"],
+)
+def test_cli_both_branching_names_write_the_same_bytes(tmp_path, conflicts):
+    path = _document(tmp_path, "doc", inst(4, cycle_edges(4), even_parity(4), conflicts))
+    written = []
+    for route in ("pco-ec-fpt", "pco-sc-fpt"):
+        out = tmp_path / f"{route}.txt"
+        assert main(["solve", str(path), "--solver", route, "-o", str(out)]) == 0
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
+
+
+# What still exits 3 on an auto-routed solve: forced edges that cut a
+# conflict down on a decision route.
+CUT_BY_FORCINGS = re.compile(
+    r"unsupported: (a forced edge cut a conflict pair|forced edges shrink an exact conflict"
+    r"|forced edges reduce an exact conflict at vertex \d+ to an at-least-one-incoming)"
+)
+
+
+@pytest.mark.parametrize("frac", [0.0, 0.3], ids=["unforced", "forced"])
+def test_every_instance_routes_and_exits_3_only_when_forcings_cut_a_conflict(tmp_path, capsys, frac):
+    # Quarters: no conflicts, disjoint exact pairs, other disjoint
+    # conflicts, overlapping conflicts. The last two are exact, subset or
+    # (half the time) mixed. A share frac of the edges is forced.
+    choices = {*cli._DECISION_SOLVERS, "pco-2dec"}
+    path, out = tmp_path / "doc.json", tmp_path / "heads.txt"
+    rng = random.Random(17)
+    routes, unsupported = set(), 0
+    for trial in range(200):
+        g = rand_graph(rng, nmax=7, mmax=12)
+        kind = [ConflictKind.EXACT, ConflictKind.SUBSET, None, None][trial // 4 % 4]
+        conflicts = [
+            (),
+            rand_disjoint_pairs(rng, g, max_count=4),
+            rand_disjoint_conflicts(rng, g, kind, max_count=5, max_size=3),
+            rand_conflicts(rng, g, kind, max_count=5),
+        ][trial % 4]
+        i = Instance(g, rand_parity(rng, g.vertex_count), conflicts, rand_forced(rng, g, frac))
+        route = pick_route(i)
+        assert route in choices
+        routes.add(route)
+        path.write_text(io.serialize_instance(i))
+        code = main(["solve", str(path), "-o", str(out)])
+        err = capsys.readouterr().err
+        if code == 3:
+            assert route in ("pco-2dec", "pco-dec") and i.forced and CUT_BY_FORCINGS.match(err), (i, err)
+            unsupported += 1
+            continue
+        assert code == (0 if decide_feasible(i) is not None else 1), (i, err)
+        if code == 0:
+            assert verify(i, io.parse_orientation(out.read_text())).ok
+    assert routes == choices and (unsupported > 0) == (frac > 0)
 
 
 def test_cli_internal_error_exits_4(c4_file, monkeypatch, capsys):

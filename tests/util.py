@@ -83,11 +83,12 @@ def rand_forced(rng: Random, g: Multigraph, frac: float = 0.15) -> dict[int, int
 def rand_conflicts(
     rng: Random,
     g: Multigraph,
-    kind: ConflictKind,
+    kind: ConflictKind | None,
     max_count: int = 3,
     max_size: int = 3,
 ) -> tuple[Conflict, ...]:
-    """Up to max_count conflicts of one kind; overlaps are allowed."""
+    """Up to max_count conflicts of ``kind``, or with ``kind`` None each of
+    a kind drawn on its own; overlaps are allowed."""
     out = []
     for _ in range(rng.randint(0, max_count)):
         v = rng.randrange(g.vertex_count)
@@ -95,7 +96,8 @@ def rand_conflicts(
         if not inc:
             continue
         size = rng.randint(1, min(max_size, len(inc)))
-        out.append(Conflict(v, frozenset(rng.sample(inc, size)), kind))
+        members = frozenset(rng.sample(inc, size))
+        out.append(Conflict(v, members, kind or rng.choice(list(ConflictKind))))
     return tuple(out)
 
 
@@ -122,11 +124,12 @@ def rand_disjoint_pairs(rng: Random, g: Multigraph, max_count: int = 3) -> tuple
 def rand_disjoint_conflicts(
     rng: Random,
     g: Multigraph,
-    kind: ConflictKind,
+    kind: ConflictKind | None,
     max_count: int = 3,
     max_size: int = 4,
 ) -> tuple[Conflict, ...]:
-    """Pairwise disjoint conflicts of one kind and size 2..max_size; a vertex may host several."""
+    """Pairwise disjoint conflicts of size 2..max_size, of ``kind`` or, with
+    ``kind`` None, each of a kind drawn on its own; a vertex may host several."""
     out: list[Conflict] = []
     want = rng.randint(0, max_count)
     verts = list(range(g.vertex_count))
@@ -135,7 +138,7 @@ def rand_disjoint_conflicts(
         avail = list(g.incident(v))
         while len(out) < want and len(avail) >= 2:
             members = rng.sample(avail, rng.randint(2, min(max_size, len(avail))))
-            out.append(Conflict(v, frozenset(members), kind))
+            out.append(Conflict(v, frozenset(members), kind or rng.choice(list(ConflictKind))))
             avail = [e for e in avail if e not in members]
             if rng.random() >= 0.3:
                 break
@@ -305,10 +308,10 @@ def components_rescan(g: Multigraph) -> list[Component]:
 
 
 def branch_reference(inst: Instance, cut: bool = True) -> PcoResult:
-    """Reference for the branching solvers: the same search, with each
+    """Reference for the branching solver: the same search, with each
     forcing map it decides rebuilt as a conflict-free instance and decided
     by ``solve_pco``. With ``cut``, every inner node is decided too and
-    one that fails is not searched below, as in the solvers; without it
+    one that fails is not searched below, as in the solver; without it
     only leaves are decided, so it reaches every leaf the depth-first
     order meets before the first feasible one."""
     g = inst.graph
