@@ -18,6 +18,7 @@ from pcorient import (
     solve_pco_max,
     verify,
 )
+from pcorient.cli import _DECISION_SOLVERS
 from pcorient.errors import InvalidInstanceError
 from pcorient.oracle import decide_feasible
 
@@ -51,6 +52,12 @@ def test_conflicts_are_rejected():
 
 
 SOLVERS = {n: getattr(pcorient, n) for n in sorted(pcorient.__all__) if n.startswith("solve_")}
+# Both branching routes keep a case of their own, under the names their entries
+# had before they became one solve_pco_fpt, and run what `solve` dispatches.
+SOLVERS.update(
+    solve_pco_ec_fpt=_DECISION_SOLVERS["pco-ec-fpt"],
+    solve_pco_sc_fpt=_DECISION_SOLVERS["pco-sc-fpt"],
+)
 ENTRIES = {**SOLVERS, "enumerate_best": enumerate_best, "decide_feasible": decide_feasible}
 
 
