@@ -1,11 +1,12 @@
 """Parity orientation with disjoint conflict pairs, solved through matching.
 
 Every polynomial conflict route ends on one maximum matching of the
-slot graph below. solve_pco_2dec reads it directly; solve_eo_2dec is
-solve_pco_2dec with every target 0; solve_pco_dec and solve_pco_dsc
-reduce larger disjoint exact or subset conflicts to instances with
-conflict pairs and accept when no constrained vertex is left violated.
-Each returns a PcoResult.
+slot graph below, found by the pair core _match_pairs. solve_pco_2dec
+runs it on its contracted input; solve_eo_2dec is solve_pco_2dec with
+every target 0; solve_pco_dec and solve_pco_dsc reduce larger disjoint
+exact or subset conflicts to conflict pairs, run the core on the
+reduced instance and accept when no constrained vertex is left
+violated there. Each returns a PcoResult.
 
 The slot graph is built on the instance left after contracting forced
 edges. Its edge nodes are the edges of G, two of them linked when they
@@ -41,16 +42,16 @@ so that they search before any slot. Even-target slots wait for the
 second round: edges still exposed then reach them before a partner is
 seeded onto its slot, and a slot joining before its partner would
 first take an edge only to hand it back later. Every edge node must end
-up covered, since it needs a head; an edge left exposed is raised as a
-bug. q_2u goes last because of parity: without it, an odd number of
-free slots off the edges leaves one node exposed; with it, an even
-number does. Matching without q_2u first and adding it after keeps
-the lower of the two counts. The exposed nodes off the path are then
-exactly the violated constraints, at their fewest, and the path leaves
-at most one node exposed: q_2u, or the lone q_0 when no vertex is
-free, which stays exposed always. Conflicts never
-fire: a matched pair points into the first endpoint its edges share at
-which they are not a conflict pair, and a slot takes a single edge.
+up covered, since it needs a head; matching_to_orientation raises one
+left exposed as a bug. q_2u goes last because of parity: without it,
+an odd number of free slots off the edges leaves one node exposed;
+with it, an even number does. Matching without q_2u first and adding it
+after keeps the lower of the two counts. The exposed nodes off the path
+are then exactly the violated constraints, at their fewest, and the
+path leaves at most one node exposed: q_2u, or the lone q_0 when no
+vertex is free, which stays exposed always. Conflicts never fire: a
+matched pair points into the first endpoint its edges share at which
+they are not a conflict pair, and a slot takes a single edge.
 """
 
 from __future__ import annotations
@@ -121,8 +122,10 @@ def matching_to_orientation(inst: Instance, m: Matching) -> Orientation:
     Node e below edge_count is edge e of inst.graph, and node
     edge_count + v is vertex v's slot: an edge matched to it points into
     v. Any later node carries no edge and is skipped. Every edge node must
-    be covered, and a matched pair must be a link: its edges share an
-    endpoint at which they are not a conflict pair.
+    be covered, an edge matched to a slot must be matched to one at its
+    ends, and a matched pair must be a link: its edges share an endpoint
+    at which they are not a conflict pair. This is the one check of the
+    matching; a failure is a bug in the route, raised as RuntimeError.
 
     The odd vertices are the heads of the slot-matched edges, all
     distinct. The result violates no conflict: a matched pair arrives at
@@ -131,9 +134,9 @@ def matching_to_orientation(inst: Instance, m: Matching) -> Orientation:
     g = inst.graph
     ne = g.edge_count
     if len(m.mate) < ne:
-        raise InvalidInstanceError("matching is over a different node set")
+        raise RuntimeError("matching is over a different node set")
     if -1 in m.mate[:ne]:
-        raise InvalidInstanceError(f"edge {m.mate.index(-1)} is not covered by the matching")
+        raise RuntimeError(f"edge {m.mate.index(-1)} is not covered by the matching")
     barred = {(c.vertex, *sorted(c.edges)) for c in inst.conflicts}
     heads = [-1] * ne
     for a, b in m.pairs():
@@ -141,7 +144,7 @@ def matching_to_orientation(inst: Instance, m: Matching) -> Orientation:
             continue
         if b >= ne:
             if b - ne >= g.vertex_count or b - ne not in g.edges[a]:
-                raise InvalidInstanceError(f"edge {a} is matched to node {b}, not to a slot at its ends")
+                raise RuntimeError(f"edge {a} is matched to node {b}, not to a slot at its ends")
             heads[a] = b - ne
             continue
         ends = g.edges[b]
@@ -150,7 +153,7 @@ def matching_to_orientation(inst: Instance, m: Matching) -> Orientation:
                 heads[a] = heads[b] = v
                 break
         else:
-            raise InvalidInstanceError(f"matched pair ({a}, {b}) is not a link")
+            raise RuntimeError(f"matched pair ({a}, {b}) is not a link")
     return Orientation(tuple(heads))
 
 
@@ -161,15 +164,15 @@ def solve_eo_2dec(inst: Instance) -> PcoResult:
     every vertex it can, as solve_pco_2dec does with every target 0, and
     returns that result: satisfied counts the even vertices, so
     vertex_count - satisfied are left odd. Forced edges are rejected,
-    contract them away first.
+    contract them away first. solve_pco_2dec validates the instance, so
+    the map it gets keeps any parity key off the graph.
     """
-    require_valid(inst)
     if any(p != 0 for p in inst.parity.values()):
         raise InvalidInstanceError("even-orientation solver requires an all-even parity map")
     if inst.forced:
         raise InvalidInstanceError("even-orientation solver takes no forced edges")
     n = inst.graph.vertex_count
-    res = solve_pco_2dec(replace(inst, parity=dict.fromkeys(range(n), 0)))
+    res = solve_pco_2dec(replace(inst, parity={**dict.fromkeys(range(n), 0), **inst.parity}))
     if res.orientation is None:
         raise RuntimeError("the pair route found no orientation without forced edges")
     return res
@@ -193,7 +196,7 @@ def _slot_graph(inst: Instance, lp: RoundGraph) -> RoundGraph:
     neighbours on the path. lp's lists are shared, not copied.
 
     That every edge node ends covered is checked, not proven:
-    solve_pco_2dec raises RuntimeError when one is left exposed. The path
+    matching_to_orientation raises RuntimeError for one left exposed. The path
     nodes join in round 2, whose still-exposed edges search first, before
     any new node is seeded. Every path node is exposed during those
     searches, so it can end an augmenting path through which a free slot
@@ -242,6 +245,15 @@ def _slot_graph(inst: Instance, lp: RoundGraph) -> RoundGraph:
     return RoundGraph(last + 1, (first, second, third))
 
 
+def _match_pairs(red: Instance) -> Orientation:
+    """Orient a pairs-only instance with nothing forced by one slot-graph matching.
+
+    Each stage is looked up in this module at call time, so it can be wrapped here.
+    """
+    lp = build_lprime(red.graph, red.conflicts)
+    return matching_to_orientation(red, max_matching(_slot_graph(red, lp)))
+
+
 def solve_pco_2dec(inst: Instance) -> PcoResult:
     """Most parity constraints met under disjoint exact conflict pairs.
 
@@ -251,8 +263,8 @@ def solve_pco_2dec(inst: Instance) -> PcoResult:
     counts them, and feasible says whether that is all of them. A forced
     edge that leaves a conflict pair half-decided is unsupported.
 
-    The contracted instance is solved by one matching in its slot graph
-    (see the module docstring), read off by matching_to_orientation.
+    The pair core (_match_pairs) orients the contracted instance, and
+    the expanded orientation is verified on the input.
     """
     require_valid(inst)
     for i, c in enumerate(inst.conflicts):
@@ -269,11 +281,7 @@ def solve_pco_2dec(inst: Instance) -> PcoResult:
                 "a forced edge cut a conflict pair down to one edge; the remaining "
                 "single-edge exact constraint is not expressible on this route"
             )
-    red = con.instance
-    matching = max_matching(_slot_graph(red, build_lprime(red.graph, red.conflicts)))
-    if -1 in matching.mate[: red.graph.edge_count]:
-        raise RuntimeError("the slot matching left an edge uncovered; matching route bug")
-    o = expand_orientation(con, matching_to_orientation(red, matching))
+    o = expand_orientation(con, _match_pairs(con.instance))
     rep = verify(inst, o)
     if rep.conflict_violations:
         raise RuntimeError("the pair route returned a conflicted orientation")
@@ -287,8 +295,9 @@ def _decide(
 
     Every conflict must be of the given kind, and the conflicts pairwise
     disjoint. After normalize and contract_forced, reduce maps the
-    remainder to conflict pairs, and it is feasible when the pair route
-    meets every constraint there.
+    remainder to conflict pairs, which the pair core orients. It is
+    feasible when that meets every target of the reduced instance; only
+    then is the orientation pulled back, expanded and verified, once.
     """
     require_valid(inst)
     name = "exact" if kind is ConflictKind.EXACT else "a subset conflict"
@@ -312,10 +321,11 @@ def _decide(
             "single-edge constraint is unsupported"
         )
     red, rmap = reduce(con.instance)
-    res = solve_pco_2dec(red)
-    if not res.feasible:
+    ro = _match_pairs(red)
+    indeg = ro.indegrees(red.graph)
+    if any(indeg[v] % 2 != p for v, p in red.parity.items()):
         return PcoResult(False, None, 0)
-    o = expand_orientation(con, pull_back(res.orientation, rmap))
+    o = expand_orientation(con, pull_back(ro, rmap))
     if not verify(inst, o).ok:
         raise RuntimeError("reduction returned an invalid witness")
     return PcoResult(True, o, len(inst.parity))

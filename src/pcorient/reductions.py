@@ -81,6 +81,35 @@ def _carry_forced(b: InstanceBuilder, inst: Instance, rmap: ReductionMap) -> Non
         b.force(rmap.edge_map[e], ra if head == oa else rb)
 
 
+def _attach_edges(
+    b: InstanceBuilder, inst: Instance, moved: dict[tuple[int, int], int]
+) -> tuple[list[int], list[HeadPair]]:
+    """Add every original edge in id order, an end (edge, v) at moved's vertex if listed.
+
+    Returns the edge map and head map of the reduction.
+    """
+    edge_map, head_map = [], []
+    for e, (u, v) in enumerate(inst.graph.edges):
+        au = moved.get((e, u), u)
+        av = moved.get((e, v), v)
+        edge_map.append(b.add_edge(au, av))
+        head_map.append(((au, u), (av, v)))
+    return edge_map, head_map
+
+
+def _finish_pairs(
+    b: InstanceBuilder, inst: Instance, edge_map: list[int], head_map: list[HeadPair],
+    new_vertices: list[tuple[int, str]], new_edges: list[tuple[int, str]],
+) -> tuple[Instance, ReductionMap]:
+    """Build a pair reduction's map and instance, carrying the forced edges over."""
+    rmap = ReductionMap(tuple(edge_map), tuple(head_map), tuple(new_vertices), tuple(new_edges))
+    _carry_forced(b, inst, rmap)
+    out = b.build()
+    if any(c.size != 2 for c in out.conflicts):
+        raise RuntimeError("reduction left a conflict that is not a pair")
+    return out, rmap
+
+
 def pco_to_eo(inst: Instance, conflict_mode: str = "none") -> tuple[Instance, ReductionMap]:
     """Reduce parity constraints to the all-even special case.
 
@@ -115,12 +144,7 @@ def pco_to_eo(inst: Instance, conflict_mode: str = "none") -> tuple[Instance, Re
 
     new_vertices: list[tuple[int, str]] = []
     new_edges: list[tuple[int, str]] = []
-    edge_map = []
-    head_map: list[HeadPair] = []
-    for e, (u, v) in enumerate(g.edges):
-        re = b.add_edge(u, v)
-        edge_map.append(re)
-        head_map.append(((u, u), (v, v)))
+    edge_map, head_map = _attach_edges(b, inst, {})
 
     # Pendants for odd-constrained vertices; the pendant is even, so its
     # edge always points at the original vertex, shifting its target
@@ -168,7 +192,10 @@ def pco_to_eo(inst: Instance, conflict_mode: str = "none") -> tuple[Instance, Re
     return b.build(), rmap
 
 
-def _check_disjoint(inst: Instance) -> None:
+def _check_conflicts(inst: Instance, kind: ConflictKind) -> None:
+    for c in inst.conflicts:
+        if c.kind is not kind:
+            raise InvalidInstanceError(f"conflict at vertex {c.vertex} is not {kind.value}")
     if not inst.pairwise_disjoint():
         raise InvalidInstanceError("conflicts are not pairwise disjoint")
 
@@ -189,14 +216,12 @@ def pco_dec_to_eo_2dec(inst: Instance) -> tuple[Instance, ReductionMap]:
     output out, so every conflict-free orientation has a conflict-free
     reduced image.
     """
+    _check_conflicts(inst, ConflictKind.EXACT)
     for c in inst.conflicts:
-        if c.kind is not ConflictKind.EXACT:
-            raise InvalidInstanceError(f"conflict at vertex {c.vertex} is not exact")
         if c.size < 2:
             raise InvalidInstanceError(
                 f"exact conflict of size {c.size} at vertex {c.vertex} is not reducible"
             )
-    _check_disjoint(inst)
 
     g = inst.graph
     hosts = {c.vertex for c in inst.conflicts if c.size >= 3}
@@ -232,15 +257,7 @@ def pco_dec_to_eo_2dec(inst: Instance) -> tuple[Instance, ReductionMap]:
         if len(em.new_edges) % 2 or mark + len(em.new_edges) != b.edge_count:
             raise RuntimeError("switching network emitted an odd or misplaced edge set")
 
-    edge_map = []
-    head_map: list[HeadPair] = []
-    for e, (u, v) in enumerate(g.edges):
-        au = slot_of.get((e, u), u)
-        av = slot_of.get((e, v), v)
-        re = b.add_edge(au, av)
-        edge_map.append(re)
-        head_map.append(((au, u), (av, v)))
-
+    edge_map, head_map = _attach_edges(b, inst, slot_of)
     for c, em in emissions:
         finish_network_inputs(b, em, [edge_map[e] for e in sorted(c.edges)])
 
@@ -251,18 +268,7 @@ def pco_dec_to_eo_2dec(inst: Instance) -> tuple[Instance, ReductionMap]:
         if c.size == 2:
             pair = tuple(edge_map[e] for e in sorted(c.edges))
             b.add_conflict(c.vertex, pair, ConflictKind.EXACT)
-
-    rmap = ReductionMap(
-        edge_map=tuple(edge_map),
-        head_map=tuple(head_map),
-        new_vertices=tuple(new_vertices),
-        new_edges=tuple(new_edges),
-    )
-    _carry_forced(b, inst, rmap)
-    out = b.build()
-    if any(c.size != 2 for c in out.conflicts):
-        raise RuntimeError("reduction left a conflict that is not a pair")
-    return out, rmap
+    return _finish_pairs(b, inst, edge_map, head_map, new_vertices, new_edges)
 
 
 def eo_dsc_to_eo_2dec(inst: Instance) -> tuple[Instance, ReductionMap]:
@@ -281,10 +287,7 @@ def eo_dsc_to_eo_2dec(inst: Instance) -> tuple[Instance, ReductionMap]:
     turns over once for each odd-size conflict at it, and a free vertex
     stays free. The gadget vertices are even.
     """
-    for c in inst.conflicts:
-        if c.kind is not ConflictKind.SUBSET:
-            raise InvalidInstanceError(f"conflict at vertex {c.vertex} is not subset")
-    _check_disjoint(inst)
+    _check_conflicts(inst, ConflictKind.SUBSET)
 
     g = inst.graph
     odd_at = Counter(c.vertex for c in inst.conflicts if c.size % 2)
@@ -311,15 +314,7 @@ def eo_dsc_to_eo_2dec(inst: Instance) -> tuple[Instance, ReductionMap]:
         new_vertices.append((pendant, "fan-pendant"))
         gadgets.append((c, hub, arms, pendant))
 
-    edge_map = []
-    head_map: list[HeadPair] = []
-    for e, (u, v) in enumerate(g.edges):
-        au = arm_of.get((e, u), u)
-        av = arm_of.get((e, v), v)
-        re = b.add_edge(au, av)
-        edge_map.append(re)
-        head_map.append(((au, u), (av, v)))
-
+    edge_map, head_map = _attach_edges(b, inst, arm_of)
     for c, hub, arms, pendant in gadgets:
         for arm in arms:
             e = b.add_edge(hub, arm)
@@ -329,15 +324,4 @@ def eo_dsc_to_eo_2dec(inst: Instance) -> tuple[Instance, ReductionMap]:
         brace = b.add_edge(hub, pendant)
         new_edges.append((brace, "fan-pendant-edge"))
         b.add_conflict(hub, (anchor, brace), ConflictKind.EXACT)
-
-    rmap = ReductionMap(
-        edge_map=tuple(edge_map),
-        head_map=tuple(head_map),
-        new_vertices=tuple(new_vertices),
-        new_edges=tuple(new_edges),
-    )
-    _carry_forced(b, inst, rmap)
-    out = b.build()
-    if any(c.size != 2 for c in out.conflicts):
-        raise RuntimeError("reduction left a conflict that is not a pair")
-    return out, rmap
+    return _finish_pairs(b, inst, edge_map, head_map, new_vertices, new_edges)

@@ -94,10 +94,10 @@ def test_matching_to_orientation_perfect_on_c4():
 
 def test_matching_to_orientation_rejects_an_uncovered_edge():
     i = inst(3, P3, conflicts=(exact(1, 0, 1),))
-    with pytest.raises(InvalidInstanceError):
+    with pytest.raises(RuntimeError):
         matching_to_orientation(i, Matching((-1, -1)))
     # Edge 1 is matched to vertex 2's slot, edge 0 is left exposed.
-    with pytest.raises(InvalidInstanceError):
+    with pytest.raises(RuntimeError):
         matching_to_orientation(i, Matching((-1, 4, -1, -1, 1)))
 
 
@@ -117,7 +117,7 @@ def test_matching_to_orientation_heads_a_parallel_pair_at_its_first_unbarred_end
     barred_at_0 = inst(2, pair, conflicts=(exact(0, 0, 1),))
     assert matching_to_orientation(barred_at_0, matched).heads == (1, 1)
     barred_at_both = inst(2, pair, conflicts=(exact(0, 0, 1), exact(1, 0, 1)))
-    with pytest.raises(InvalidInstanceError, match="is not a link"):
+    with pytest.raises(RuntimeError, match="is not a link"):
         matching_to_orientation(barred_at_both, matched)
 
 
@@ -127,7 +127,7 @@ def test_matching_to_orientation_reads_slot_nodes():
     o = matching_to_orientation(i, Matching((3, 4, -1, 0, 1, -1)))
     assert o.heads == (1, 2)
     assert odd_vertices(i.graph, o) == [1, 2]
-    with pytest.raises(InvalidInstanceError):
+    with pytest.raises(RuntimeError):
         matching_to_orientation(i, Matching((5, -1, -1, -1, -1, 0)))
 
 
@@ -449,11 +449,12 @@ def test_solve_pco_dsc_reduces_once_and_leaves_free_vertices_free(monkeypatch):
     i = inst(5, edges, {0: 1, 1: 0, 3: 1}, conflicts=(subset(0, 0, 1, 2), subset(2, 3, 4)))
     seen = []
 
-    def spy(red):
+    def spy(con):
+        red, rmap = eo_dsc_to_eo_2dec(con)
         seen.append(red)
-        return solve_pco_2dec(red)
+        return red, rmap
 
-    monkeypatch.setattr(eo2dec, "solve_pco_2dec", spy)
+    monkeypatch.setattr(eo2dec, "eo_dsc_to_eo_2dec", spy)
     got = solve_pco_dsc(i)
     assert got.feasible and verify(i, got.orientation).ok
     (red,) = seen
@@ -461,6 +462,47 @@ def test_solve_pco_dsc_reduces_once_and_leaves_free_vertices_free(monkeypatch):
     want, rmap = eo_dsc_to_eo_2dec(i)
     assert red == want
     assert all(t.startswith("fan-") for _, t in rmap.new_vertices)
+
+
+@pytest.mark.parametrize(
+    "solver, reduction",
+    [(solve_pco_dec, "pco_dec_to_eo_2dec"), (solve_pco_dsc, "eo_dsc_to_eo_2dec")],
+    ids=["exact", "subset"],
+)
+def test_decision_routes_validate_contract_expand_and_verify_the_input_once(monkeypatch, solver, reduction):
+    # A conflict of size three goes through a gadget, and a forced edge
+    # gives contract_forced something to remove. The reduced instance goes
+    # to the pair core alone: none of these four stages sees it.
+    edges = [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3), (1, 3), (3, 4)]
+    kind = exact if solver is solve_pco_dec else subset
+    i = inst(5, edges, {0: 1, 1: 0, 2: 1, 3: 0}, conflicts=(kind(0, 0, 1, 2),), forced={6: 4})
+    calls = {name: [] for name in ("require_valid", "contract_forced", "expand_orientation", "verify")}
+    reduced = []
+
+    def spy(fn, log):
+        def run(*args):
+            log.append(args)
+            return fn(*args)
+
+        return run
+
+    for name, log in calls.items():
+        monkeypatch.setattr(eo2dec, name, spy(getattr(eo2dec, name), log))
+    reduce = getattr(eo2dec, reduction)
+
+    def reduce_and_keep(con):
+        reduced.append(reduce(con))
+        return reduced[-1]
+
+    monkeypatch.setattr(eo2dec, reduction, reduce_and_keep)
+    got = solver(i)
+    assert got.feasible and verify(i, got.orientation).ok
+    assert {name: len(log) for name, log in calls.items()} == dict.fromkeys(calls, 1)
+    assert calls["require_valid"][0] == (i,) and calls["verify"][0][0] is i
+    ((red, _),) = reduced
+    assert red.graph.vertex_count > i.graph.vertex_count
+    seen = [getattr(a, "instance", a) for log in calls.values() for args in log for a in args]
+    assert all(a is not red and a != red for a in seen)
 
 
 @pytest.mark.parametrize(

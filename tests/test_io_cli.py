@@ -11,10 +11,11 @@ import sys
 
 import pytest
 
-from pcorient import cli, io
+from pcorient import cli, eo2dec, io
 from pcorient.cli import main, pick_route
 from pcorient.core import ConflictKind, Instance, Orientation, verify
 from pcorient.errors import InvalidDocumentError, InvalidInstanceError
+from pcorient.matching import Matching
 from pcorient.oracle import decide_feasible
 
 from util import (
@@ -428,6 +429,38 @@ def test_cli_any_other_exception_exits_4(c4_file, monkeypatch, capsys):
     monkeypatch.setitem(cli._DECISION_SOLVERS, "pco", broken)
     assert main(["solve", str(c4_file), "--solver", "pco"]) == 4
     assert "internal error: KeyError: 'lost vertex'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "route, i",
+    [
+        ("pco-2dec", inst(3, path_edges(3), {1: 1}, (exact(1, 0, 1),))),
+        ("pco-dec", inst(4, [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3)], even_parity(4), (exact(0, 0, 1, 2), exact(2, 3, 4)))),
+    ],
+    ids=["pco-2dec", "pco-dec"],
+)
+def test_cli_a_matcher_fault_exits_4(route, i, tmp_path, monkeypatch, capsys):
+    # The faulty matcher pairs the two edges of a conflict pair, which are
+    # barred at their one shared end, and pairs their old mates with each
+    # other, so every edge stays covered.
+    pairs = []
+    build, match = eo2dec.build_lprime, eo2dec.max_matching
+
+    def build_and_keep(g, conflicts):
+        pairs.extend(sorted(c.edges) for c in conflicts if len({frozenset(g.edges[e]) for e in c.edges}) == 2)
+        return build(g, conflicts)
+
+    def barred_pair(rg):
+        mate = list(match(rg).mate)
+        a, b = pairs[-1]
+        mate[mate[a]], mate[mate[b]] = mate[b], mate[a]
+        mate[a], mate[b] = b, a
+        return Matching(tuple(mate))
+
+    monkeypatch.setattr(eo2dec, "build_lprime", build_and_keep)
+    monkeypatch.setattr(eo2dec, "max_matching", barred_pair)
+    assert main(["solve", str(_document(tmp_path, route, i)), "-v"]) == 4
+    assert capsys.readouterr().err.startswith(f"route: {route}\ninternal error: ")
 
 
 def test_cli_verify_round_trip(c4_file, tmp_path, capsys):

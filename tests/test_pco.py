@@ -68,6 +68,7 @@ ENTRIES = {**SOLVERS, "enumerate_best": enumerate_best, "decide_feasible": decid
         inst(3, [(0, 1), (1, 1)]),
         inst(2, [(0, 0), (0, 1)], parity={0: 0}),
         inst(3, path_edges(3), parity={1: 2}),
+        inst(3, path_edges(3), parity={7: 0}),
         inst(3, path_edges(3), forced={0: 2}),
         inst(2, [(0, 1)], forced={0: 5}),
         inst(3, [(0, 1), (1, 3)]),
@@ -77,6 +78,7 @@ ENTRIES = {**SOLVERS, "enumerate_best": enumerate_best, "decide_feasible": decid
         "self-loop",
         "constrained-self-loop",
         "parity-2",
+        "parity-vertex-unknown",
         "forced-head-off-edge",
         "forced-head-unknown",
         "endpoint-out-of-range",
