@@ -11,6 +11,9 @@ conflict given ``--solver pco-dec``, an oracle sweep past its budget),
 exception). ``pick_route`` has a route for every instance: whatever no
 polynomial route takes goes to the branching solver.
 
+The argument parser is built once, at import. ``main`` only parses, into
+a fresh namespace per call, so it can be called again in one process.
+
 Every route of ``solve`` returns a PcoResult and is reported the same
 way: a feasible result's orientation is written; an infeasible one
 prints ``infeasible``, followed by the best count when the route found
@@ -227,8 +230,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.fn(args)
     except (InvalidDocumentError, InvalidInstanceError) as exc:

@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import enum
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Mapping, NamedTuple
+from typing import Iterator, Mapping, NamedTuple
 
 from .errors import InvalidInstanceError, UnsupportedError
 
@@ -217,6 +218,19 @@ def verify(inst: Instance, o: Orientation) -> VerifyReport:
         elif c.edges <= incoming:
             conflict_bad.append(i)
     return VerifyReport(parity_bad, tuple(conflict_bad))
+
+
+@contextmanager
+def self_check(route: str) -> Iterator[None]:
+    """Around a solver's verify of its own orientation: a malformed one is a bug.
+
+    verify raises InvalidInstanceError for a malformed orientation, bad
+    input when a user gave it; one the route built is raised as RuntimeError.
+    """
+    try:
+        yield
+    except InvalidInstanceError as exc:
+        raise RuntimeError(f"{route} built a malformed orientation: {exc}") from exc
 
 
 def normalize(inst: Instance) -> Instance | None:

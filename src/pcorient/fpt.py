@@ -32,6 +32,7 @@ from .core import (
     components,
     conflict_discharged,
     require_valid,
+    self_check,
     verify,
 )
 from .pco import PcoResult, solve_pco
@@ -189,8 +190,9 @@ def _branch(inst: Instance) -> PcoResult:
     res = rec(0, dict(inst.forced))
     if res is None:
         return PcoResult(False, None, 0, branches=leaves)
-    if res.orientation is None or not verify(inst, res.orientation).ok:
-        raise RuntimeError("branching returned an invalid witness")
+    with self_check("the branching route"):
+        if res.orientation is None or not verify(inst, res.orientation).ok:
+            raise RuntimeError("branching returned an invalid witness")
     return PcoResult(True, res.orientation, res.satisfied, branches=leaves)
 
 

@@ -6,13 +6,15 @@ vectorized with numpy over chunks of orientations; the tests hold it to a
 plain per-orientation loop kept beside them as the reference, witness
 included. ``decide_feasible`` is a complete backtracking search for the
 instances whose orientation space is too large to sweep flat.
+
+numpy is imported inside ``enumerate_best``, its only user, so importing
+the package or solving through any route does not load it: numpy's
+import costs more time and memory than a small solve.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .core import ConflictKind, Instance, Orientation, require_valid
 from .errors import InvalidInstanceError, OracleLimitError
@@ -46,6 +48,8 @@ def enumerate_best(inst: Instance, max_edges: int = 20) -> OracleResult:
     and with more than 64 free edges, one per bit of a ``uint64``.
     Raises InvalidInstanceError on a malformed instance.
     """
+    import numpy as np
+
     require_valid(inst)
     g = inst.graph
     n, m = g.vertex_count, g.edge_count

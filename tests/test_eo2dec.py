@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+from dataclasses import replace
 from itertools import combinations
 from random import Random
 
@@ -533,6 +534,71 @@ def test_decision_routes_match_oracle_on_larger_disjoint_conflicts(kind, solver)
                 assert verify(i, got.orientation).ok, f"seed {seed}"
         assert checked > 1400 and larger > 500, (density, checked, larger)
         assert feasible > 700 and checked - feasible > min_infeasible, (density, checked, feasible)
+
+
+def vacuous_conflicts(rng: Random, g: Multigraph, parity: dict[int, int], kind: ConflictKind):
+    """Conflicts normalize removes, at most one per vertex: exact ones whose
+    size disagrees with their vertex's target, or subset singletons."""
+    out = []
+    for v in range(g.vertex_count):
+        at = list(g.incident(v))
+        if kind is ConflictKind.SUBSET:
+            if at and rng.random() < 0.5:
+                out.append(subset(v, rng.choice(at)))
+        elif v in parity:
+            sizes = [k for k in range(2, min(4, len(at)) + 1) if k % 2 != parity[v]]
+            if sizes:
+                out.append(exact(v, *rng.sample(at, rng.choice(sizes))))
+    return tuple(out)
+
+
+def no_matching(rg):
+    raise AssertionError("a conflict-free remainder reached the matching")
+
+
+@pytest.mark.parametrize("free", [True, False], ids=["feasible", "infeasible"])
+def test_solve_pco_dec_decides_a_conflict_free_remainder_with_the_base_solver(monkeypatch, free):
+    # Every conflict is vacuous, so nothing is left to reduce. With every
+    # vertex constrained and the targets summing to odd over an even edge
+    # count, some component cannot meet its targets.
+    rng = Random(1000)
+    g = random_regular_multigraph(rng, 1000, 4)
+    parity = {v: rng.randint(0, 1) for v in range(g.vertex_count) if not free or v % 2}
+    if not free and sum(parity.values()) % 2 == 0:
+        parity[0] ^= 1
+    i = Instance(g, parity, vacuous_conflicts(rng, g, parity, ConflictKind.EXACT))
+    assert len(i.conflicts) == len(parity)
+    monkeypatch.setattr(eo2dec, "max_matching", no_matching)
+    got = solve_pco_dec(i)
+    assert got.feasible == solve_pco(replace(i, conflicts=())).feasible == free
+    if free:
+        assert verify(i, got.orientation).ok
+
+
+@pytest.mark.parametrize(
+    "kind, solver",
+    [(ConflictKind.EXACT, solve_pco_dec), (ConflictKind.SUBSET, solve_pco_dsc)],
+    ids=["exact", "subset"],
+)
+def test_decision_routes_decide_a_conflict_free_remainder_like_the_oracle(monkeypatch, kind, solver):
+    monkeypatch.setattr(eo2dec, "max_matching", no_matching)
+    checked = feasible = 0
+    for seed in range(400):
+        rng = Random(seed)
+        g = rand_graph(rng, nmax=6, mmax=10)
+        parity = rand_parity(rng, g.vertex_count)
+        conflicts = vacuous_conflicts(rng, g, parity, kind)
+        forced = rand_forced(rng, g) if rng.random() < 1 / 3 else {}
+        if not conflicts:
+            continue
+        i = Instance(g, parity, conflicts, forced)
+        got = solver(i)
+        assert got.feasible == (decide_feasible(i) is not None), f"seed {seed}: {i}"
+        if got.feasible:
+            feasible += 1
+            assert verify(i, got.orientation).ok, f"seed {seed}"
+        checked += 1
+    assert checked > 250 and 50 < feasible < checked - 50, (checked, feasible)
 
 
 def test_solve_pco_dsc_rejects_exact_kind():

@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
+import argparse
 import json
+import os
 import random
 import re
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from pcorient import cli, eo2dec, io
+from pcorient import cli, eo2dec, io, pco
 from pcorient.cli import main, pick_route
 from pcorient.core import ConflictKind, Instance, Orientation, verify
 from pcorient.errors import InvalidDocumentError, InvalidInstanceError
@@ -461,6 +464,98 @@ def test_cli_a_matcher_fault_exits_4(route, i, tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(eo2dec, "max_matching", barred_pair)
     assert main(["solve", str(_document(tmp_path, route, i)), "-v"]) == 4
     assert capsys.readouterr().err.startswith(f"route: {route}\ninternal error: ")
+
+
+# A feasible document per route whose own check runs after expand_orientation.
+SELF_CHECKED = {
+    "pco-2dec": (eo2dec, inst(3, path_edges(3), {1: 1}, (exact(1, 0, 1),))),
+    "pco-dec": (eo2dec, inst(4, [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3)], {1: 1, 3: 1}, (exact(0, 0, 1, 2), exact(2, 3, 4)))),
+    "pco-dsc": (eo2dec, inst(4, cycle_edges(4), even_parity(4), (subset(0, 0, 3), subset(2, 1, 2)))),
+    "pco-ec-fpt": (pco, inst(4, cycle_edges(4), even_parity(4), (subset(0, 0, 3), exact(2, 1, 2)))),
+}
+
+
+@pytest.mark.parametrize("route", sorted(SELF_CHECKED))
+def test_cli_a_route_self_check_fault_exits_4(route, tmp_path, monkeypatch, capsys):
+    # A faulty expansion points every edge at a vertex off the graph. The
+    # route's verify of its own orientation rejects that, which is a bug
+    # in the route, not bad input.
+    module, i = SELF_CHECKED[route]
+    path = _document(tmp_path, route, i)
+    assert main(["solve", str(path), "-v", "-o", str(tmp_path / "heads.txt")]) == 0
+    assert capsys.readouterr().err == f"route: {route}\n"
+    expand = module.expand_orientation
+
+    def off_the_graph(con, o):
+        return Orientation((10**6,) * len(expand(con, o).heads))
+
+    monkeypatch.setattr(module, "expand_orientation", off_the_graph)
+    assert main(["solve", str(path), "-v"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"route: {route}\ninternal error: ")
+    assert "head 1000000 is not an endpoint of edge 0" in err
+
+
+def test_cli_verify_of_a_user_orientation_off_the_graph_exits_2(c4_file, tmp_path, capsys):
+    heads = tmp_path / "heads.txt"
+    heads.write_text("1000000\n" * 4)
+    assert main(["verify", str(c4_file), str(heads)]) == 2
+    assert capsys.readouterr().err == "input error: head 1000000 is not an endpoint of edge 0\n"
+
+
+def test_cli_solving_loads_numpy_only_for_the_oracle_sweep(tmp_path):
+    # A fresh interpreter: this test process may have loaded numpy already.
+    docs = {route: _document(tmp_path, route, i) for route, (_, i) in SELF_CHECKED.items()}
+    docs["pco"] = _document(tmp_path, "pco", inst(4, cycle_edges(4), even_parity(4)))
+    script = "\n".join([
+        "import sys",
+        "from pathlib import Path",
+        "import pcorient",
+        "from pcorient import cli, io",
+        "assert 'numpy' not in sys.modules, 'import pcorient'",
+        *(f"assert cli.main(['solve', {str(p)!r}, '-o', '-']) == 0" for p in docs.values()),
+        "assert 'numpy' not in sys.modules, 'solve'",
+        f"i = io.parse_instance(Path({str(docs['pco'])!r}).read_text())",
+        "assert pcorient.enumerate_best(i).best_satisfied_parities == 4",
+        "assert 'numpy' in sys.modules, 'enumerate_best'",
+    ])
+    src = Path(__file__).resolve().parents[1] / "src"
+    run = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+    )
+    assert run.returncode == 0, run.stderr
+
+
+def test_cli_main_builds_no_parser_per_call(c4_file, monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    assert main(["solve", str(c4_file), "-o", "-"]) == 0
+    assert main(["solve", str(c4_file), "-v", "-o", "-"]) == 0
+    capsys.readouterr()
+    assert built == []
+
+
+def test_cli_flags_do_not_carry_over_to_the_next_call(tmp_path, capsys):
+    # Each later call would read differently with a flag left over: -v
+    # adds a route line, --solver pco-2dec adds the best count, and
+    # --max-parities off the pair route is an input error.
+    path, out = _document(tmp_path, "tri", inst(3, cycle_edges(3), even_parity(3))), tmp_path / "heads.txt"
+    argv = ["solve", str(path), "-v", "--solver", "pco-2dec", "--max-parities", "-o", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "route: pco-2dec\nsatisfied 2 of 3 parity constraints\n"
+    assert main(["solve", str(path)]) == 1
+    assert capsys.readouterr().err == "infeasible\n"
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "route: pco-2dec\nsatisfied 2 of 3 parity constraints\n"
 
 
 def test_cli_verify_round_trip(c4_file, tmp_path, capsys):
