@@ -75,7 +75,7 @@ from .core import (
 )
 from .errors import InvalidInstanceError, UnsupportedError
 from .matching import Matching, Round, RoundGraph, max_matching
-from .pco import PcoResult, solve_pco
+from .pco import PcoResult
 from .reductions import ReductionMap, eo_dsc_to_eo_2dec, pco_dec_to_eo_2dec, pull_back
 from .reductions import pco_to_eo  # noqa: F401; perfbench/spans.py hooks it here by name
 
@@ -298,10 +298,8 @@ def _decide(
     Every conflict must be of the given kind, and the conflicts pairwise
     disjoint. After normalize and contract_forced, reduce maps the
     remainder to conflict pairs, which the pair core orients. It is
-    feasible when that meets every target of the reduced instance. A
-    remainder with no conflict left goes to the base parity solver
-    instead, with no reduction and no matching. Only a feasible
-    orientation is pulled back, expanded and verified, once.
+    feasible when that meets every target of the reduced instance; only
+    then is the orientation pulled back, expanded and verified, once.
     """
     require_valid(inst)
     name = "exact" if kind is ConflictKind.EXACT else "a subset conflict"
@@ -324,19 +322,12 @@ def _decide(
             "forced edges shrink an exact conflict below two edges; the remaining "
             "single-edge constraint is unsupported"
         )
-    if con.instance.conflicts:
-        red, rmap = reduce(con.instance)
-        ro = _match_pairs(red)
-        indeg = ro.indegrees(red.graph)
-        if any(indeg[v] % 2 != p for v, p in red.parity.items()):
-            return PcoResult(False, None, 0)
-        co = pull_back(ro, rmap)
-    else:
-        base = solve_pco(con.instance)
-        if not base.feasible:
-            return PcoResult(False, None, 0)
-        co = base.orientation
-    o = expand_orientation(con, co)
+    red, rmap = reduce(con.instance)
+    ro = _match_pairs(red)
+    indeg = ro.indegrees(red.graph)
+    if any(indeg[v] % 2 != p for v, p in red.parity.items()):
+        return PcoResult(False, None, 0)
+    o = expand_orientation(con, pull_back(ro, rmap))
     with self_check("the decision route"):
         if not verify(inst, o).ok:
             raise RuntimeError("the decision route returned an invalid witness")
