@@ -6,10 +6,11 @@ orientation), ``verify`` (check an orientation file), ``oracle``
 instances), ``export-dot``. Exit codes: 0 feasible/ok, 1 infeasible,
 2 input error, 3 valid input the chosen route cannot express (forced
 edges that cut a conflict down on a decision route, a single-edge exact
-conflict given ``--solver pco-dec``, an oracle sweep past its budget),
-4 internal error (a solver's own consistency check failed, or any other
-exception). ``pick_route`` has a route for every instance: whatever no
-polynomial route takes goes to the branching solver.
+conflict that ``normalize`` keeps given ``--solver pco-dec``, an oracle
+sweep past its budget), 4 internal error (a solver's own consistency
+check failed, or any other exception). ``pick_route`` lives in ``core``
+and has a route for every instance: whatever no polynomial route takes
+goes to the branching solver.
 
 The argument parser is built once, at import. ``main`` only parses, into
 a fresh namespace per call, so it can be called again in one process.
@@ -28,7 +29,7 @@ import json
 import sys
 
 from . import io
-from .core import ConflictKind, Instance, verify
+from .core import pick_route, require_valid, verify
 from .eo2dec import solve_pco_2dec, solve_pco_dec, solve_pco_dsc
 from .errors import (
     InvalidDocumentError,
@@ -74,31 +75,6 @@ def _write(path: str | None, text: str) -> None:
             fh.write(text)
 
 
-def pick_route(inst: Instance) -> str:
-    """Solver for an instance's conflict shape; every instance has one.
-
-    Mirrors the solver preconditions: conflict-free instances go to the
-    plain parity solver, disjoint single-kind conflicts to the matching
-    polynomial route, and everything else to the branching solver:
-    ``pco-sc-fpt`` when every conflict is a subset conflict, otherwise
-    ``pco-ec-fpt`` (overlapping or single-edge exact conflicts, and mixed
-    kinds).
-    """
-    if not inst.conflicts:
-        return "pco"
-    kinds = {c.kind for c in inst.conflicts}
-    if len(kinds) > 1:
-        return "pco-ec-fpt"
-    disjoint = inst.pairwise_disjoint()
-    if kinds == {ConflictKind.SUBSET}:
-        return "pco-dsc" if disjoint else "pco-sc-fpt"
-    if disjoint and all(c.size == 2 for c in inst.conflicts):
-        return "pco-2dec"
-    if disjoint and all(c.size >= 2 for c in inst.conflicts):
-        return "pco-dec"
-    return "pco-ec-fpt"
-
-
 def cmd_solve(args: argparse.Namespace) -> int:
     inst = io.parse_instance(_read(args.instance))
     route = args.solver or pick_route(inst)
@@ -127,6 +103,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     inst = io.parse_instance(_read(args.instance))
+    require_valid(inst)
     o = io.parse_orientation(_read(args.orientation))
     report = verify(inst, o)
     if report.ok:
@@ -178,6 +155,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 def cmd_export_dot(args: argparse.Namespace) -> int:
     inst = io.parse_instance(_read(args.instance))
+    require_valid(inst)
     o = io.parse_orientation(_read(args.orientation)) if args.orientation else None
     _write(args.output, io.export_dot(inst, o))
     return EXIT_OK

@@ -125,6 +125,36 @@ class Instance:
         return True
 
 
+def fits(inst: Instance, kind: ConflictKind, min_size: int = 1, max_size: int | None = None) -> bool:
+    """Every conflict has this kind and a size in range, and no two at a vertex share an edge."""
+    return all(
+        c.kind is kind and min_size <= c.size and (max_size is None or c.size <= max_size)
+        for c in inst.conflicts
+    ) and inst.pairwise_disjoint()
+
+
+def pick_route(inst: Instance) -> str:
+    """Solver for an instance's conflict shape; every instance has one.
+
+    Conflict-free instances go to the plain parity solver, what fits a
+    polynomial route to that route, and everything else to the branching
+    solver: ``pco-sc-fpt`` when every conflict is a subset conflict,
+    otherwise ``pco-ec-fpt`` (overlapping or single-edge exact
+    conflicts, and mixed kinds). It reads no ids, so it needs no validation.
+    """
+    if not inst.conflicts:
+        return "pco"
+    if fits(inst, ConflictKind.EXACT, 2, 2):
+        return "pco-2dec"
+    if fits(inst, ConflictKind.EXACT, 2):
+        return "pco-dec"
+    if fits(inst, ConflictKind.SUBSET):
+        return "pco-dsc"
+    if all(c.kind is ConflictKind.SUBSET for c in inst.conflicts):
+        return "pco-sc-fpt"
+    return "pco-ec-fpt"
+
+
 @dataclass(frozen=True)
 class Orientation:
     """Per-edge head assignment; ``heads[e]`` is the vertex edge e points into."""

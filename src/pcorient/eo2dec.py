@@ -63,11 +63,13 @@ from typing import Callable, Sequence
 from .core import (
     Conflict,
     ConflictKind,
+    Contraction,
     Instance,
     Multigraph,
     Orientation,
     contract_forced,
     expand_orientation,
+    fits,
     normalize,
     require_valid,
     self_check,
@@ -268,20 +270,11 @@ def solve_pco_2dec(inst: Instance) -> PcoResult:
     the expanded orientation is verified on the input.
     """
     require_valid(inst)
-    for i, c in enumerate(inst.conflicts):
-        if c.kind is not ConflictKind.EXACT or c.size != 2:
-            raise InvalidInstanceError(f"conflict {i} is not an exact pair")
-    if not inst.pairwise_disjoint():
-        raise InvalidInstanceError("conflict pairs overlap at a shared vertex")
-    con = contract_forced(inst)
+    if not fits(inst, ConflictKind.EXACT, 2, 2):
+        raise InvalidInstanceError("conflicts are not pairwise disjoint exact pairs")
+    con = _contract(inst)
     if con is None:
         return PcoResult(False, None, 0)
-    for c in con.instance.conflicts:
-        if c.size < 2:
-            raise UnsupportedError(
-                "a forced edge cut a conflict pair down to one edge; the remaining "
-                "single-edge exact constraint is not expressible on this route"
-            )
     o = expand_orientation(con, _match_pairs(con.instance))
     with self_check("the pair route"):
         rep = verify(inst, o)
@@ -290,38 +283,35 @@ def solve_pco_2dec(inst: Instance) -> PcoResult:
     return PcoResult(not rep.parity_violations, o, len(inst.parity) - len(rep.parity_violations))
 
 
+def _contract(inst: Instance) -> Contraction | None:
+    """contract_forced; an exact conflict left with one edge, cut or given so, is unsupported."""
+    con = contract_forced(inst)
+    if con is not None and any(c.size < 2 for c in con.instance.conflicts):
+        raise UnsupportedError(
+            "forced edges shrink an exact conflict below two edges, or it had one to "
+            "begin with; a single-edge exact constraint is unsupported on this route"
+        )
+    return con
+
+
 def _decide(
-    inst: Instance, kind: ConflictKind, reduce: Callable[[Instance], tuple[Instance, ReductionMap]]
+    inst: Instance, shaped: bool, reduce: Callable[[Instance], tuple[Instance, ReductionMap]]
 ) -> PcoResult:
     """Decision body shared by solve_pco_dec and solve_pco_dsc.
 
-    Every conflict must be of the given kind, and the conflicts pairwise
-    disjoint. After normalize and contract_forced, reduce maps the
-    remainder to conflict pairs, which the pair core orients. It is
-    feasible when that meets every target of the reduced instance; only
-    then is the orientation pulled back, expanded and verified, once.
+    shaped is core.fits for the route's kind. After normalize and
+    _contract, reduce maps the remainder to conflict pairs, which the
+    pair core orients. It is feasible when that meets every target of
+    the reduced instance; only then is the orientation pulled back,
+    expanded and verified, once.
     """
     require_valid(inst)
-    name = "exact" if kind is ConflictKind.EXACT else "a subset conflict"
-    for i, c in enumerate(inst.conflicts):
-        if c.kind is not kind:
-            raise InvalidInstanceError(f"conflict {i} is not {name}")
-        if c.size < 2 and kind is ConflictKind.EXACT:
-            raise UnsupportedError(
-                "single-edge exact conflicts are unsupported; their decision problem is open"
-            )
-    if not inst.pairwise_disjoint():
-        raise InvalidInstanceError("conflicts overlap at a shared vertex")
+    if not shaped:
+        raise InvalidInstanceError("conflicts are not pairwise disjoint and all of this route's kind")
     n1 = normalize(inst)
-    con = None if n1 is None else contract_forced(n1)
+    con = None if n1 is None else _contract(n1)
     if con is None:
         return PcoResult(False, None, 0)
-    # A subset conflict cut to one edge became a forcing, so only exact ones get here.
-    if any(c.size < 2 for c in con.instance.conflicts):
-        raise UnsupportedError(
-            "forced edges shrink an exact conflict below two edges; the remaining "
-            "single-edge constraint is unsupported"
-        )
     red, rmap = reduce(con.instance)
     ro = _match_pairs(red)
     indeg = ro.indegrees(red.graph)
@@ -335,13 +325,13 @@ def _decide(
 
 
 def solve_pco_dec(inst: Instance) -> PcoResult:
-    """Parity decision with disjoint exact conflicts of size at least two.
+    """Parity decision with pairwise disjoint exact conflicts.
 
     Either every constraint is met and no conflict fires, or the
-    instance is infeasible. Single-edge exact conflicts are rejected as
-    unsupported; the problem with them is open.
+    instance is infeasible. A single-edge exact conflict that normalize
+    keeps is unsupported; the problem with them is open.
     """
-    return _decide(inst, ConflictKind.EXACT, pco_dec_to_eo_2dec)
+    return _decide(inst, fits(inst, ConflictKind.EXACT), pco_dec_to_eo_2dec)
 
 
 def solve_pco_dsc(inst: Instance) -> PcoResult:
@@ -350,4 +340,4 @@ def solve_pco_dsc(inst: Instance) -> PcoResult:
     The fan gadget carries every target through as it is, so one
     reduction reaches the pair route.
     """
-    return _decide(inst, ConflictKind.SUBSET, eo_dsc_to_eo_2dec)
+    return _decide(inst, fits(inst, ConflictKind.SUBSET), eo_dsc_to_eo_2dec)

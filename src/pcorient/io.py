@@ -10,7 +10,9 @@ no object may repeat a key, and no conflict may list an edge twice.
 Serialization is canonical: sorted keys, two-space indent, member edge
 lists ascending, one trailing newline.
 Parsing back a serialized document and serializing again is
-byte-identical.
+byte-identical. Parsing checks the document, not its ids: whoever uses
+the instance runs ``core.require_valid`` (every public solver and the
+oracle do), so an id is checked once per command.
 
 An orientation file is one head vertex per line in edge-id order, each a
 canonical decimal integer; blank lines and ``#`` comments are skipped.
@@ -27,7 +29,6 @@ from .core import (
     Instance,
     Multigraph,
     Orientation,
-    require_valid,
     verify,
 )
 from .errors import InvalidDocumentError
@@ -84,11 +85,12 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
 
 
 def parse_instance(text: str) -> Instance:
-    """Read an instance document; the result is structurally validated.
+    """Read an instance document: syntax, fields, types and canonical keys.
 
-    Syntax and shape problems raise InvalidDocumentError naming the line
-    or field; id-level problems surface as InvalidInstanceError from
-    ``validate_instance``.
+    Each problem raises InvalidDocumentError naming the line or field.
+    Ids are not checked here: an endpoint or member out of range, a
+    self-loop or a stray forced head or parity is left to
+    ``core.require_valid``, which raises InvalidInstanceError.
     """
     try:
         doc = json.loads(text, object_pairs_hook=_unique_keys)
@@ -143,14 +145,12 @@ def parse_instance(text: str) -> Instance:
                 f"conflicts[{i}].kind must be 'exact' or 'subset', got {kind_name!r}"
             )
         conflicts.append(Conflict(vertex, frozenset(members), kind))
-    inst = Instance(
+    return Instance(
         Multigraph(vertices, tuple(edges)),
         _id_map(doc, "parity"),
         tuple(conflicts),
         _id_map(doc, "forced"),
     )
-    require_valid(inst)
-    return inst
 
 
 def serialize_instance(inst: Instance) -> str:

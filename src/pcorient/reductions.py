@@ -16,10 +16,12 @@ back to the original edge set:
   pairs via a fan gadget that re-attaches the conflict edges to arm
   vertices and detects the all-inward pattern at a hub.
 
-The two pair reductions keep every original vertex's id and add a
-gadget vertex only where a conflict needs one. A vertex that hosts no
-gadget keeps its target, odd, even or none, which the pair route takes
-as it is; each reduction says how a host's target is carried.
+Both pair reductions check at entry, with ``core.fits``, that their
+conflicts are disjoint and of their kind (exact ones of two or more
+edges). They keep every original vertex's id and add a gadget vertex
+only where a conflict needs one. A vertex that hosts no gadget keeps
+its target, odd, even or none, which the pair route takes as it is;
+each reduction says how a host's target is carried.
 Construction order is fixed (vertices in original order, conflicts in
 list order, members by edge id) so a given input always produces the
 identical reduced instance.
@@ -30,7 +32,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .core import ConflictKind, Instance, InstanceBuilder, Orientation
+from .core import ConflictKind, Instance, InstanceBuilder, Orientation, fits
 from .errors import InvalidInstanceError
 from .switching import emit_network, finish_network_inputs
 
@@ -192,14 +194,6 @@ def pco_to_eo(inst: Instance, conflict_mode: str = "none") -> tuple[Instance, Re
     return b.build(), rmap
 
 
-def _check_conflicts(inst: Instance, kind: ConflictKind) -> None:
-    for c in inst.conflicts:
-        if c.kind is not kind:
-            raise InvalidInstanceError(f"conflict at vertex {c.vertex} is not {kind.value}")
-    if not inst.pairwise_disjoint():
-        raise InvalidInstanceError("conflicts are not pairwise disjoint")
-
-
 def pco_dec_to_eo_2dec(inst: Instance) -> tuple[Instance, ReductionMap]:
     """Disjoint exact conflicts of any size to disjoint conflict pairs.
 
@@ -216,12 +210,8 @@ def pco_dec_to_eo_2dec(inst: Instance) -> tuple[Instance, ReductionMap]:
     output out, so every conflict-free orientation has a conflict-free
     reduced image.
     """
-    _check_conflicts(inst, ConflictKind.EXACT)
-    for c in inst.conflicts:
-        if c.size < 2:
-            raise InvalidInstanceError(
-                f"exact conflict of size {c.size} at vertex {c.vertex} is not reducible"
-            )
+    if not fits(inst, ConflictKind.EXACT, 2):
+        raise InvalidInstanceError("conflicts are not disjoint exact conflicts of two or more edges")
 
     g = inst.graph
     hosts = {c.vertex for c in inst.conflicts if c.size >= 3}
@@ -287,7 +277,8 @@ def eo_dsc_to_eo_2dec(inst: Instance) -> tuple[Instance, ReductionMap]:
     turns over once for each odd-size conflict at it, and a free vertex
     stays free. The gadget vertices are even.
     """
-    _check_conflicts(inst, ConflictKind.SUBSET)
+    if not fits(inst, ConflictKind.SUBSET):
+        raise InvalidInstanceError("conflicts are not pairwise disjoint subset conflicts")
 
     g = inst.graph
     odd_at = Counter(c.vertex for c in inst.conflicts if c.size % 2)

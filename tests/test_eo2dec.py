@@ -389,6 +389,37 @@ def test_solve_pco_dec_rejects_singleton_exact():
         solve_pco_dec(i)
 
 
+def test_solve_pco_dec_answers_the_single_edge_exact_conflicts_normalize_drops():
+    # Disjoint exact conflicts of two or three edges, plus single-edge ones
+    # on edges the vertex has left over. One at an even-target vertex can
+    # only fire with a parity violation, so normalize drops it and the
+    # route answers; one that normalize keeps, or that forced edges leave
+    # behind, is unsupported.
+    answered = unsupported = 0
+    for seed in range(400):
+        rng = Random(seed)
+        g = rand_graph(rng, nmax=6, mmax=10)
+        conflicts = list(rand_disjoint_conflicts(rng, g, ConflictKind.EXACT, max_count=2, max_size=3))
+        for v in range(g.vertex_count):
+            spare = [e for e in g.incident(v) if all(c.vertex != v or e not in c.edges for c in conflicts)]
+            if spare and rng.random() < 0.5:
+                conflicts.append(exact(v, rng.choice(spare)))
+        if all(c.size > 1 for c in conflicts):
+            continue
+        forced = rand_forced(rng, g, frac=0.2) if seed % 2 else {}
+        i = Instance(g, rand_parity(rng, g.vertex_count), tuple(conflicts), forced)
+        try:
+            got = solve_pco_dec(i)
+        except UnsupportedError:
+            unsupported += 1
+            continue
+        answered += 1
+        assert got.feasible == (decide_feasible(i) is not None), f"seed {seed}"
+        if got.feasible:
+            assert verify(i, got.orientation).ok, f"seed {seed}"
+    assert answered > 0 and unsupported > 0, (answered, unsupported)
+
+
 def test_solve_pco_dec_matches_oracle_decision():
     rng = Random(3141)
     for _ in range(120):

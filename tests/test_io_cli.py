@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from pcorient import cli, eo2dec, io, pco
+from pcorient import cli, core, eo2dec, fpt, io, pco
 from pcorient.cli import main, pick_route
 from pcorient.core import ConflictKind, Instance, Orientation, verify
 from pcorient.errors import InvalidDocumentError, InvalidInstanceError
@@ -631,6 +631,71 @@ def test_cli_export_dot(c4_file, tmp_path):
     assert out.read_text().startswith("digraph g {\n")
     assert main(["export-dot", str(c4_file), "-o", str(out)]) == 0
     assert out.read_text().startswith("graph g {\n")
+
+
+# A feasible document per route.
+ROUTE_DOCS = {
+    **{route: i for route, (_, i) in SELF_CHECKED.items()},
+    "pco": inst(4, cycle_edges(4), even_parity(4)),
+    "pco-sc-fpt": inst(4, cycle_edges(4), even_parity(4), (subset(0, 0, 3), subset(0, 0))),
+}
+
+
+@pytest.mark.parametrize("route", sorted(ROUTE_DOCS))
+def test_cli_solve_validates_the_instance_once(route, tmp_path, monkeypatch, capsys):
+    # The branching route validates once more for each leaf witness it
+    # builds with solve_pco.
+    calls = {"validate": 0, "leaf": 0}
+
+    def spy(name, fn):
+        def run(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return run
+
+    monkeypatch.setattr(core, "validate_instance", spy("validate", core.validate_instance))
+    monkeypatch.setattr(fpt, "solve_pco", spy("leaf", fpt.solve_pco))
+    path = _document(tmp_path, route, ROUTE_DOCS[route])
+    assert main(["solve", str(path), "-v", "-o", str(tmp_path / "heads.txt")]) == 0
+    assert capsys.readouterr().err == f"route: {route}\n"
+    assert calls["leaf"] == (route in ("pco-ec-fpt", "pco-sc-fpt"))
+    assert calls["validate"] == 1 + calls["leaf"]
+
+
+# Documents that pass every document check but name ids the instance
+# does not have; core.require_valid, not io.parse_instance, rejects them.
+BAD_IDS = {
+    "endpoint": {"edges": [[0, 1], [1, 5]]},
+    "self-loop": {"edges": [[0, 1], [2, 2]]},
+    "conflict-edge": {"conflicts": [{"vertex": 1, "edges": [0, 7], "kind": "exact"}]},
+    "forced-head": {"forced": {"0": 2}},
+    "parity-vertex": {"parity": {"0": 0, "9": 1}},
+}
+
+
+@pytest.mark.parametrize("change", list(BAD_IDS.values()), ids=list(BAD_IDS))
+def test_cli_exits_2_on_bad_ids_in_every_command(change, tmp_path, capsys):
+    doc = {"version": 1, "vertices": 3, "edges": [[0, 1], [1, 2]], **change}
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    i = io.parse_instance(path.read_text())
+    with pytest.raises(InvalidInstanceError):
+        core.require_valid(i)
+    heads = tmp_path / "heads.txt"
+    heads.write_text("1\n1\n")
+    commands = [
+        ["solve", str(path)],
+        *(["solve", str(path), "--solver", route] for route in sorted([*cli._DECISION_SOLVERS, "pco-2dec"])),
+        ["verify", str(path), str(heads)],
+        ["oracle", str(path)],
+        ["oracle", str(path), "--decision"],
+        ["export-dot", str(path)],
+        ["export-dot", str(path), "--orientation", str(heads)],
+    ]
+    for argv in commands:
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err.startswith("input error: "), argv
 
 
 def test_console_script_end_to_end(c4_file, tmp_path):
