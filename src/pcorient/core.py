@@ -8,7 +8,6 @@ those ids, so parallel edges are distinct conflict members.
 from __future__ import annotations
 
 import enum
-from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -33,7 +32,7 @@ class Multigraph:
     edges: tuple[tuple[VertexId, VertexId], ...]
 
     def __post_init__(self) -> None:
-        canon = tuple((u, v) if u <= v else (v, u) for u, v in self.edges)
+        canon = tuple([(u, v) if u <= v else (v, u) for u, v in self.edges])
         object.__setattr__(self, "edges", canon)
 
     @property
@@ -42,13 +41,14 @@ class Multigraph:
 
     @cached_property
     def _incidence(self) -> tuple[tuple[EdgeId, ...], ...]:
-        inc: list[list[EdgeId]] = [[] for _ in range(self.vertex_count)]
+        n = self.vertex_count
+        inc: list[list[EdgeId]] = [[] for _ in range(n)]
         for e, (u, v) in enumerate(self.edges):
-            if 0 <= u < self.vertex_count:
+            if 0 <= u < n:
                 inc[u].append(e)
-            if 0 <= v < self.vertex_count and v != u:
+            if v != u and 0 <= v < n:
                 inc[v].append(e)
-        return tuple(tuple(x) for x in inc)
+        return tuple(map(tuple, inc))
 
     def incident(self, v: VertexId) -> tuple[EdgeId, ...]:
         """Edge ids incident to ``v``, in increasing id order."""
@@ -191,16 +191,19 @@ def validate_instance(inst: Instance) -> list[str]:
     if g.vertex_count < 0:
         errors.append(f"negative vertex count {g.vertex_count}")
         return errors
-    for e, (u, v) in enumerate(g.edges):
-        if not (0 <= u < g.vertex_count and 0 <= v < g.vertex_count):
-            errors.append(f"edge {e}={u, v} has an endpoint outside 0..{g.vertex_count - 1}")
+    n = g.vertex_count
+    edges = g.edges
+    for e, (u, v) in enumerate(edges):  # pairs are sorted: u <= v
+        if u < 0 or v >= n:
+            errors.append(f"edge {e}={u, v} has an endpoint outside 0..{n - 1}")
         elif u == v:
             errors.append(f"edge {e} is a self-loop at vertex {u}")
     if errors:
         # Incidence lookups below assume well-formed edges.
         return errors
-    for v, p in sorted(inst.parity.items()):
-        if not 0 <= v < g.vertex_count:
+    bad_parity = [(v, p) for v, p in inst.parity.items() if not 0 <= v < n or p not in (0, 1)]
+    for v, p in sorted(bad_parity):
+        if not 0 <= v < n:
             errors.append(f"parity constraint on unknown vertex {v}")
         if p not in (0, 1):
             errors.append(f"parity of vertex {v} is {p}, expected 0 or 1")
@@ -215,10 +218,12 @@ def validate_instance(inst: Instance) -> list[str]:
                 errors.append(f"conflict {i} names unknown edge {e}")
             elif c.vertex not in g.endpoints(e):
                 errors.append(f"conflict {i}: edge {e} not incident to conflict vertex {c.vertex}")
-    for e, h in sorted(inst.forced.items()):
-        if not 0 <= e < g.edge_count:
+    m = len(edges)
+    bad_forced = [(e, h) for e, h in inst.forced.items() if not 0 <= e < m or h not in edges[e]]
+    for e, h in sorted(bad_forced):
+        if not 0 <= e < m:
             errors.append(f"forced orientation names unknown edge {e}")
-        elif h not in g.endpoints(e):
+        else:
             errors.append(f"forced head {h} is not an endpoint of edge {e}")
     return errors
 
@@ -303,6 +308,8 @@ def components(g: Multigraph) -> list[Component]:
     collected at its lower endpoint, and each component's edges are listed
     in increasing id order.
     """
+    inc = g._incidence
+    edges = g.edges
     seen = [False] * g.vertex_count
     out: list[Component] = []
     for start in range(g.vertex_count):
@@ -311,20 +318,18 @@ def components(g: Multigraph) -> list[Component]:
         seen[start] = True
         verts = [start]
         eids: list[EdgeId] = []
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for e in g.incident(v):
-                w, hi = g.edges[e]
+        for v in verts:  # breadth-first: the list is the queue
+            for e in inc[v]:
+                w, hi = edges[e]
                 if w == v:
                     eids.append(e)
                     w = hi
                 if not seen[w]:
                     seen[w] = True
                     verts.append(w)
-                    queue.append(w)
+        verts.sort()
         eids.sort()
-        out.append(Component(tuple(sorted(verts)), tuple(eids)))
+        out.append(Component(tuple(verts), tuple(eids)))
     return out
 
 
@@ -420,12 +425,14 @@ def contract_forced(inst: Instance) -> Contraction | None:
     for e, h in forced.items():
         if h in parity:
             parity[h] ^= 1
-    edge_origin = tuple(e for e in range(g.edge_count) if e not in forced)
-    renumber = {orig: i for i, orig in enumerate(edge_origin)}
-    reduced_graph = Multigraph(g.vertex_count, tuple(g.edges[e] for e in edge_origin))
-    reduced_conflicts = tuple(
-        Conflict(c.vertex, frozenset(renumber[e] for e in c.edges), c.kind) for c in live
-    )
+    edge_origin = tuple([e for e in range(g.edge_count) if e not in forced])
+    reduced_graph = Multigraph(g.vertex_count, tuple([g.edges[e] for e in edge_origin]))
+    reduced_conflicts: tuple[Conflict, ...] = ()
+    if live:
+        renumber = {orig: i for i, orig in enumerate(edge_origin)}
+        reduced_conflicts = tuple(
+            Conflict(c.vertex, frozenset(renumber[e] for e in c.edges), c.kind) for c in live
+        )
     reduced = Instance(reduced_graph, parity, reduced_conflicts, {})
     return Contraction(reduced, edge_origin, forced)
 
@@ -434,8 +441,8 @@ def expand_orientation(con: Contraction, o: Orientation) -> Orientation:
     """Recombine a reduced-instance orientation with the contracted forcings."""
     total = len(con.edge_origin) + len(con.forced_heads)
     heads = [0] * total
-    for i, orig in enumerate(con.edge_origin):
-        heads[orig] = o.heads[i]
+    for orig, h in zip(con.edge_origin, o.heads):
+        heads[orig] = h
     for e, h in con.forced_heads.items():
         heads[e] = h
     return Orientation(tuple(heads))

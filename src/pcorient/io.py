@@ -108,16 +108,14 @@ def parse_instance(text: str) -> Instance:
     raw_edges = doc.get("edges")
     if not isinstance(raw_edges, list):
         raise InvalidDocumentError("field 'edges' must be a list")
-    edges: list[tuple[int, int]] = []
-    for i, pair in enumerate(raw_edges):
-        if (
-            not isinstance(pair, list)
-            or len(pair) != 2
-            or type(pair[0]) is not int
-            or type(pair[1]) is not int
-        ):
-            raise InvalidDocumentError(f"edges[{i}] must be a pair of vertex ids")
-        edges.append((pair[0], pair[1]))
+    edges = [
+        (pair[0], pair[1])
+        if isinstance(pair, list) and len(pair) == 2 and type(pair[0]) is int and type(pair[1]) is int
+        else None
+        for pair in raw_edges
+    ]
+    if None in edges:
+        raise InvalidDocumentError(f"edges[{edges.index(None)}] must be a pair of vertex ids")
     conflicts: list[Conflict] = []
     raw_conflicts = doc.get("conflicts", [])
     if not isinstance(raw_conflicts, list):
@@ -185,7 +183,7 @@ def parse_orientation(text: str) -> Orientation:
 
 
 def serialize_orientation(o: Orientation) -> str:
-    return "".join(f"{h}\n" for h in o.heads)
+    return "".join([f"{h}\n" for h in o.heads])
 
 
 def export_dot(inst: Instance, o: Orientation | None = None) -> str:

@@ -6,6 +6,13 @@ each parent edge so the child's parity comes out right. All slack lands
 on the root, so rooting at an unconstrained vertex makes a feasible
 component succeed, and rooting at a designated sacrifice vertex makes an
 infeasible component miss exactly one constraint.
+
+A solve makes two linear passes over the contracted graph. The first
+decides every component from its free vertices, parity sum and edge
+count, and picks its root; a decision solve stops at the first
+infeasible one before orienting anything. The second orients every
+component at once: one BFS from all the roots into flat per-vertex
+lists, then one children-first sweep over the whole BFS order.
 """
 
 from __future__ import annotations
@@ -13,9 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (
-    Component,
     Instance,
-    Multigraph,
     Orientation,
     components,
     contract_forced,
@@ -68,6 +73,16 @@ def solve_pco_max(inst: Instance) -> PcoResult:
 
 
 def _solve(inst: Instance, maximize: bool) -> PcoResult:
+    """Contract forced edges, decide every component, then orient them all.
+
+    A component's root is its smallest free vertex; with none, its
+    smallest vertex when its parities sum to its edge count mod 2, else
+    its largest, the max route's sacrifice. One BFS from all the roots
+    keeps each component's own BFS order, so the trees, and the heads,
+    are those of a sweep one component at a time. Every edge starts
+    pointed at its larger end (pairs are sorted); the children-first
+    sweep re-points only the parent edges of constrained vertices.
+    """
     require_valid(inst)
     if inst.conflicts:
         raise InvalidInstanceError("base parity solver does not accept conflicts")
@@ -76,72 +91,47 @@ def _solve(inst: Instance, maximize: bool) -> PcoResult:
         raise RuntimeError("forced-edge contraction failed on a conflict-free instance")
     red = con.instance
     g = red.graph
-    heads: list[int] = [-1] * g.edge_count
-    satisfied = 0
-    feasible = True
-    for comp in components(g):
-        comp_heads, comp_sat, comp_ok = _solve_component(g, red.parity, comp, maximize)
-        if not comp_ok and not maximize:
-            return PcoResult(False, None, 0)
-        feasible &= comp_ok
-        satisfied += comp_sat
-        for e, h in comp_heads.items():
-            heads[e] = h
-    o = expand_orientation(con, Orientation(tuple(heads)))
-    return PcoResult(feasible, o, satisfied)
-
-
-def _solve_component(
-    g: Multigraph,
-    parity: dict[int, int],
-    comp: Component,
-    maximize: bool,
-) -> tuple[dict[int, int], int, bool]:
-    """Orient one component; returns (heads, satisfied count, all satisfied?)."""
-    unconstrained = [v for v in comp.vertices if v not in parity]
-    feasible = bool(unconstrained) or (
-        sum(parity[v] for v in comp.vertices) % 2 == len(comp.edges) % 2
-    )
-    if unconstrained:
-        root = unconstrained[0]
-    elif maximize and not feasible:
-        root = comp.vertices[-1]  # sacrifice: largest-id constrained vertex
-    else:
-        root = comp.vertices[0]
-
-    parent_edge: dict[int, int] = {}
-    bfs = [root]
-    seen = {root}
-    qi = 0
-    while qi < len(bfs):
-        v = bfs[qi]
-        qi += 1
-        for e in g.incident(v):
-            w = g.other_end(e, v)
-            if w not in seen:
-                seen.add(w)
-                parent_edge[w] = e
-                bfs.append(w)
-
-    heads: dict[int, int] = {}
-    tree = set(parent_edge.values())
-    indeg = {v: 0 for v in comp.vertices}
-    for e in comp.edges:
-        if e not in tree:
-            h = max(g.edges[e])
-            heads[e] = h
-            indeg[h] += 1
-    for v in reversed(bfs[1:]):
-        e = parent_edge[v]
+    parity = red.parity
+    roots: list[int] = []
+    missed = 0
+    for verts, eids in components(g):
+        root = next((v for v in verts if v not in parity), None)
+        if root is None:
+            root = verts[0]
+            if (sum(parity[v] for v in verts) + len(eids)) % 2:
+                if not maximize:
+                    return PcoResult(False, None, 0)
+                missed += 1
+                root = verts[-1]
+        roots.append(root)
+    edges = g.edges
+    incident = g.incident
+    seen = [False] * g.vertex_count
+    parent = [-1] * g.vertex_count
+    for r in roots:
+        seen[r] = True
+    order = roots  # BFS from every root at once; each component keeps its own order
+    for v in order:
+        for e in incident(v):
+            a, b = edges[e]
+            w = b if a == v else a
+            if not seen[w]:
+                seen[w] = True
+                parent[w] = e
+                order.append(w)
+    heads = [b for _, b in edges]
+    indeg = [0] * g.vertex_count
+    for b in heads:
+        indeg[b] += 1
+    for v in reversed(order):
+        e = parent[v]
         p = parity.get(v)
-        if p is not None and indeg[v] % 2 != p:
-            h = v
-        elif p is not None:
-            h = g.other_end(e, v)
-        else:
-            h = max(g.edges[e])
+        if e < 0 or p is None:
+            continue  # a root, or a free vertex whose parent edge keeps its larger end
+        a, b = edges[e]
+        indeg[b] -= 1
+        h = v if indeg[v] % 2 != p else a if b == v else b
         heads[e] = h
         indeg[h] += 1
-
-    sat = sum(1 for v in comp.vertices if v in parity and indeg[v] % 2 == parity[v])
-    return heads, sat, feasible
+    o = expand_orientation(con, Orientation(tuple(heads)))
+    return PcoResult(missed == 0, o, len(parity) - missed)

@@ -69,6 +69,37 @@ def test_validate_rejects_bad_parity_forced_and_empty_conflict():
     assert any("unknown edge 9" in e for e in errors)
 
 
+def test_validate_lists_every_error_in_id_order():
+    # Parity and forced entries out of id order; the messages come sorted
+    # by id, parity before conflicts before forced.
+    bad = Instance(
+        Multigraph(3, tuple(P3)),
+        parity={9: 0, 1: 2, 7: 5},
+        conflicts=(exact(1, 0, 5),),
+        forced={12: 0, 0: 2},
+    )
+    assert validate_instance(bad) == [
+        "parity of vertex 1 is 2, expected 0 or 1",
+        "parity constraint on unknown vertex 7",
+        "parity of vertex 7 is 5, expected 0 or 1",
+        "parity constraint on unknown vertex 9",
+        "conflict 0 names unknown edge 5",
+        "forced head 2 is not an endpoint of edge 0",
+        "forced orientation names unknown edge 12",
+    ]
+
+
+def test_validate_lists_every_bad_edge_in_id_order():
+    g = Multigraph(3, ((0, 5), (4, 1), (0, 1), (2, 2), (-1, 0), (3, -2)))
+    assert validate_instance(Instance(g)) == [
+        "edge 0=(0, 5) has an endpoint outside 0..2",
+        "edge 1=(1, 4) has an endpoint outside 0..2",
+        "edge 3 is a self-loop at vertex 2",
+        "edge 4=(-1, 0) has an endpoint outside 0..2",
+        "edge 5=(-2, 3) has an endpoint outside 0..2",
+    ]
+
+
 def test_verify_exact_pair_fires_on_equality():
     i = inst(3, P3, conflicts=(exact(1, 0, 1),))
     rep = verify(i, Orientation((1, 1)))

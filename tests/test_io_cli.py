@@ -123,6 +123,26 @@ def test_parse_rejects_bad_conflict_kind():
         io.parse_instance(json.dumps(doc))
 
 
+@pytest.mark.parametrize(
+    "edges, index",
+    [
+        ([[0, 1], [0], [True, 0], [0, 1, 2]], 1),
+        ([[0, 1], [0, 1], [True, 0]], 2),
+        ([[True, 0]], 0),
+        ([[0, 1, 2]], 0),
+        ([[0]], 0),
+        ([[0, 1], {"0": 0, "1": 1}], 1),
+        ([[0, 1], "01"], 1),
+        ([[0, 1], [0, 1.0], None], 1),
+    ],
+    ids=["several", "last", "true", "triple", "single", "object", "string", "float"],
+)
+def test_parse_names_the_first_bad_edge(edges, index):
+    text = json.dumps({**TWO_EDGES, "edges": edges})
+    with pytest.raises(InvalidDocumentError, match=re.escape(f"edges[{index}] must be a pair of vertex ids")):
+        io.parse_instance(text)
+
+
 def test_parse_rejects_malformed_edge_entry():
     doc = json.loads(MINIMAL)
     doc["edges"] = [[0, 1, 2]]

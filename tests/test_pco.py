@@ -19,11 +19,22 @@ from pcorient import (
     verify,
 )
 from pcorient.cli import _DECISION_SOLVERS
+from pcorient.core import contract_forced
 from pcorient.errors import InvalidInstanceError
 from pcorient.oracle import decide_feasible
 
 from strategies import instances
-from util import cycle_edges, even_parity, exact, inst, path_edges, rand_forced, rand_graph, rand_parity
+from util import (
+    cycle_edges,
+    even_parity,
+    exact,
+    inst,
+    path_edges,
+    pco_reference,
+    rand_forced,
+    rand_graph,
+    rand_parity,
+)
 
 
 def test_c4_all_even_is_feasible():
@@ -176,3 +187,57 @@ def test_feasibility_split_by_unconstrained_vertex():
     g = Multigraph(3, tuple(cycle_edges(3)))
     assert not solve_pco(Instance(g, even_parity(3))).feasible
     assert solve_pco(Instance(g, {0: 0, 1: 0})).feasible
+
+
+def component_union(rng: Random) -> Instance:
+    """One to five small components on blocks of consecutive ids, in a
+    random edge order and sometimes relabelled. A one-vertex block is an
+    isolated vertex; others get a spanning tree, extra and parallel edges.
+    A block is fully constrained (feasible or not by its parity sum) or
+    has free vertices. No edge, some edges or every edge is forced."""
+    edges: list[tuple[int, int]] = []
+    parity: dict[int, int] = {}
+    n = 0
+    for _ in range(rng.randint(1, 5)):
+        block = range(n, n + rng.randint(1, 5))
+        edges += [(rng.randrange(n, v), v) for v in block[1:]]
+        for _ in range(rng.randint(0, len(block) - 1)):
+            u, w = rng.sample(block, 2)
+            edges += [(u, w)] * rng.randint(1, 2)
+        full = rng.random() < 0.6
+        parity.update((v, rng.randint(0, 1)) for v in block if full or rng.random() < 0.5)
+        n = block.stop
+    rng.shuffle(edges)
+    if rng.random() < 0.3:
+        label = rng.sample(range(n), n)
+        edges = [(label[u], label[w]) for u, w in edges]
+        parity = {label[v]: p for v, p in parity.items()}
+    g = Multigraph(n, tuple(edges))
+    return Instance(g, parity, (), rand_forced(rng, g, rng.choice((0.0, 0.2, 0.6, 1.0))))
+
+
+def test_sweep_matches_the_per_component_reference():
+    # Same verdict, count and heads as orienting one component at a time.
+    # Tally where the contracted instance's infeasible components sit, so
+    # the draws are seen to reach each case the early exit and the max
+    # route's sacrifice meet.
+    seen = dict.fromkeys(("first", "middle", "last", "several", "all-forced", "isolated", "parallel"), 0)
+    for seed in range(600):
+        i = component_union(Random(seed))
+        for maximize, solve in ((False, solve_pco), (True, solve_pco_max)):
+            got = solve(i)
+            want = pco_reference(i, maximize)
+            assert (got.feasible, got.satisfied, got.orientation) == (
+                want.feasible, want.satisfied, want.orientation), (seed, maximize)
+        red = contract_forced(i).instance
+        comps = components(red.graph)
+        bad = [k for k, c in enumerate(comps)
+               if all(v in red.parity for v in c.vertices)
+               and (sum(red.parity[v] for v in c.vertices) + len(c.edges)) % 2]
+        if bad:
+            seen["first" if bad[0] == 0 else "last" if bad[0] == len(comps) - 1 else "middle"] += 1
+        seen["several"] += len(bad) > 1
+        seen["all-forced"] += len(i.forced) == i.graph.edge_count > 0
+        seen["isolated"] += any(i.graph.degree(v) == 0 for v in range(i.graph.vertex_count))
+        seen["parallel"] += len(set(i.graph.edges)) < i.graph.edge_count
+    assert min(seen.values()) >= 20, seen

@@ -18,7 +18,14 @@ from pcorient import (
     solve_pco,
     verify,
 )
-from pcorient.core import Component, conflict_discharged
+from pcorient.core import (
+    Component,
+    components,
+    conflict_discharged,
+    contract_forced,
+    expand_orientation,
+    require_valid,
+)
 from pcorient.fpt import _choices, _merge
 from pcorient.matching import Round, RoundGraph, _Matcher
 
@@ -305,6 +312,62 @@ def components_rescan(g: Multigraph) -> list[Component]:
         eids = tuple(e for e, (u, _) in enumerate(g.edges) if u in vset)
         out.append(Component(tuple(sorted(verts)), eids))
     return out
+
+
+def pco_reference(inst: Instance, maximize: bool) -> PcoResult:
+    """Reference for ``solve_pco`` (and, with ``maximize``, ``solve_pco_max``):
+    the same spanning-tree sweep, one component at a time, each deciding
+    its verdict, choosing its root and orienting its edges with its own
+    BFS over sets and dicts before the next component starts."""
+    require_valid(inst)
+    con = contract_forced(inst)
+    red = con.instance
+    g = red.graph
+    parity = red.parity
+    heads = [-1] * g.edge_count
+    satisfied = 0
+    feasible = True
+    for comp in components(g):
+        unconstrained = [v for v in comp.vertices if v not in parity]
+        ok = bool(unconstrained) or sum(parity[v] for v in comp.vertices) % 2 == len(comp.edges) % 2
+        if not ok and not maximize:
+            return PcoResult(False, None, 0)
+        if unconstrained:
+            root = unconstrained[0]
+        elif not ok:
+            root = comp.vertices[-1]  # sacrifice: largest-id constrained vertex
+        else:
+            root = comp.vertices[0]
+        parent_edge: dict[int, int] = {}
+        bfs = [root]
+        seen = {root}
+        for v in bfs:
+            for e in g.incident(v):
+                w = g.other_end(e, v)
+                if w not in seen:
+                    seen.add(w)
+                    parent_edge[w] = e
+                    bfs.append(w)
+        tree = set(parent_edge.values())
+        indeg = {v: 0 for v in comp.vertices}
+        for e in comp.edges:
+            if e not in tree:
+                heads[e] = max(g.edges[e])
+                indeg[heads[e]] += 1
+        for v in reversed(bfs[1:]):
+            e = parent_edge[v]
+            p = parity.get(v)
+            if p is not None and indeg[v] % 2 != p:
+                h = v
+            elif p is not None:
+                h = g.other_end(e, v)
+            else:
+                h = max(g.edges[e])
+            heads[e] = h
+            indeg[h] += 1
+        feasible &= ok
+        satisfied += sum(1 for v in comp.vertices if v in parity and indeg[v] % 2 == parity[v])
+    return PcoResult(feasible, expand_orientation(con, Orientation(tuple(heads))), satisfied)
 
 
 def branch_reference(inst: Instance, cut: bool = True) -> PcoResult:
