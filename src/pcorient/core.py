@@ -201,11 +201,14 @@ def validate_instance(inst: Instance) -> list[str]:
     if errors:
         # Incidence lookups below assume well-formed edges.
         return errors
-    bad_parity = [(v, p) for v, p in inst.parity.items() if not 0 <= v < n or p not in (0, 1)]
+    # True and 1.0 equal 1, but only an int serializes as a document's integer.
+    bad_parity = [
+        (v, p) for v, p in inst.parity.items() if not 0 <= v < n or p not in (0, 1) or type(p) is not int
+    ]
     for v, p in sorted(bad_parity):
         if not 0 <= v < n:
             errors.append(f"parity constraint on unknown vertex {v}")
-        if p not in (0, 1):
+        if p not in (0, 1) or type(p) is not int:
             errors.append(f"parity of vertex {v} is {p}, expected 0 or 1")
     for i, c in enumerate(inst.conflicts):
         if not 0 <= c.vertex < g.vertex_count:
@@ -219,7 +222,9 @@ def validate_instance(inst: Instance) -> list[str]:
             elif c.vertex not in g.endpoints(e):
                 errors.append(f"conflict {i}: edge {e} not incident to conflict vertex {c.vertex}")
     m = len(edges)
-    bad_forced = [(e, h) for e, h in inst.forced.items() if not 0 <= e < m or h not in edges[e]]
+    bad_forced = [
+        (e, h) for e, h in inst.forced.items() if not 0 <= e < m or h not in edges[e] or type(h) is not int
+    ]
     for e, h in sorted(bad_forced):
         if not 0 <= e < m:
             errors.append(f"forced orientation names unknown edge {e}")

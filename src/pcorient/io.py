@@ -7,8 +7,13 @@ with ``vertex``, ``edges``, and ``kind`` "exact"|"subset"), and ``forced``
 (map edge -> head vertex). JSON object keys are strings, so the parity and
 forced maps key ids as canonical decimal strings ("3", never "03" or " 3"),
 no object may repeat a key, and no conflict may list an edge twice.
-Serialization is canonical: sorted keys, two-space indent, member edge
-lists ascending, one trailing newline.
+Serialization is canonical: keys sorted as strings ("10" before "9"),
+two-space indent, ``[]`` and ``{}`` for empty containers, member edge
+lists ascending, one trailing newline. ``serialize_instance`` writes the
+text directly with f-strings and ``str.join``, an int through ``str`` and
+any other value through ``json.dumps``, so its bytes equal
+``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``; json itself runs in
+pure Python whenever ``indent`` is set, several times slower.
 Parsing back a serialized document and serializing again is
 byte-identical. Parsing checks the document, not its ids: whoever uses
 the instance runs ``core.require_valid`` (every public solver and the
@@ -151,19 +156,55 @@ def parse_instance(text: str) -> Instance:
     )
 
 
+def _text(value: object, pad: str) -> str:
+    """``value`` as json writes it on a line indented by ``pad``: ``str`` for
+    an int, else ``json.dumps`` with the document's options, its inner lines
+    shifted by ``pad``."""
+    if type(value) is int:
+        return str(value)
+    return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n" + pad)
+
+
+def _array(items: list[str], pad: str) -> str:
+    return "[\n" + ",\n".join(items) + f"\n{pad}]" if items else "[]"
+
+
+def _key(key: object) -> str:
+    return f'"{key}"' if type(key) is int else json.dumps(str(key))
+
+
+def _id_object(ids: dict[int, int]) -> str:
+    """A parity or forced map, keys in string order: "10" precedes "9"."""
+    members = [f'    {_key(k)}: {_text(ids[k], "    ")}' for k in sorted(ids, key=str)]
+    return "{\n" + ",\n".join(members) + "\n  }" if members else "{}"
+
+
+def _conflict(c: Conflict) -> str:
+    members = [f"        {_text(e, '        ')}" for e in sorted(c.edges)]
+    return (
+        "    {\n"
+        f'      "edges": {_array(members, "      ")},\n'
+        f'      "kind": {_text(c.kind.value, "      ")},\n'
+        f'      "vertex": {_text(c.vertex, "      ")}\n'
+        "    }"
+    )
+
+
 def serialize_instance(inst: Instance) -> str:
-    doc = {
-        "version": FORMAT_VERSION,
-        "vertices": inst.graph.vertex_count,
-        "edges": [[u, v] for u, v in inst.graph.edges],
-        "parity": {str(v): p for v, p in sorted(inst.parity.items())},
-        "conflicts": [
-            {"vertex": c.vertex, "edges": sorted(c.edges), "kind": c.kind.value}
-            for c in inst.conflicts
-        ],
-        "forced": {str(e): h for e, h in sorted(inst.forced.items())},
-    }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """The instance's canonical document, written field by field."""
+    edges = [
+        f"    [\n      {_text(u, '      ')},\n      {_text(v, '      ')}\n    ]" for u, v in inst.graph.edges
+    ]
+    return (
+        "{\n"
+        f'  "conflicts": {_array([_conflict(c) for c in inst.conflicts], "  ")},\n'
+        f'  "edges": {_array(edges, "  ")},\n'
+        f'  "forced": {_id_object(inst.forced)},\n'
+        f'  "parity": {_id_object(inst.parity)},\n'
+        f'  "version": {FORMAT_VERSION},\n'
+        f'  "vertices": {_text(inst.graph.vertex_count, "  ")}\n'
+        "}\n"
+    )
 
 
 def parse_orientation(text: str) -> Orientation:

@@ -74,9 +74,6 @@ class Matching:
     def pairs(self) -> tuple[tuple[int, int], ...]:
         return tuple((v, w) for v, w in enumerate(self.mate) if w > v)
 
-    def uncovered(self) -> tuple[int, ...]:
-        return tuple(v for v, w in enumerate(self.mate) if w == -1)
-
 
 class _Matcher:
     def __init__(self, g: RoundGraph) -> None:

@@ -4,9 +4,11 @@ For each perfbench workload and each given seed, the documents the
 benchmark would generate are written to a temporary directory and solved
 in process by ``pcorient.cli.main(["solve", "-v", DOC, "-o", FILE,
 *flags])``, with each document's own solve flags. One line per document:
-its name, the exit code, and the SHA-256 of standard output, standard
-error and the output file ("-" when no file was written). Two checkouts
-that print the same lines give byte-identical answers on those documents.
+its name, the exit code, the SHA-256 of standard output, standard error
+and the output file ("-" when no file was written), and the SHA-256 of
+the document as ``io.serialize_instance`` wrote it. Two checkouts that
+print the same lines write byte-identical documents and give
+byte-identical answers on them.
 
 Run from the repository root:
     python3 tests/data/cli_identity.py [SEED ...]          (default seeds 1 2)
@@ -52,7 +54,8 @@ def fingerprints(seeds: list[int]) -> list[str]:
                     written = out.read_text(encoding="utf-8") if out.exists() else None
                     lines.append(
                         f"{name}/{seed}/{p.name} {code} "
-                        f"{_sha(stdout.getvalue())} {_sha(stderr.getvalue())} {_sha(written)}"
+                        f"{_sha(stdout.getvalue())} {_sha(stderr.getvalue())} {_sha(written)} "
+                        f"{_sha(doc.read_text(encoding='utf-8'))}"
                     )
     return lines
 

@@ -69,6 +69,17 @@ def test_validate_rejects_bad_parity_forced_and_empty_conflict():
     assert any("unknown edge 9" in e for e in errors)
 
 
+def test_validate_rejects_parity_and_forced_heads_that_are_not_ints():
+    # True == 1 and 1.0 == 1, but neither serializes as a document's integer.
+    g = Multigraph(2, ((0, 1),))
+    assert validate_instance(Instance(g, {0: True, 1: 1.0}, (), {0: False})) == [
+        "parity of vertex 0 is True, expected 0 or 1",
+        "parity of vertex 1 is 1.0, expected 0 or 1",
+        "forced head False is not an endpoint of edge 0",
+    ]
+    assert validate_instance(Instance(g, {0: 1, 1: 0}, (), {0: 0})) == []
+
+
 def test_validate_lists_every_error_in_id_order():
     # Parity and forced entries out of id order; the messages come sorted
     # by id, parity before conflicts before forced.

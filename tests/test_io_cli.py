@@ -14,13 +14,14 @@ from pathlib import Path
 
 import pytest
 
-from pcorient import cli, core, eo2dec, fpt, io, pco
+from pcorient import cli, core, eo2dec, fpt, io, parse_formula, pco, reduce_to_pco_2ec, reduce_to_pco_2sc
 from pcorient.cli import main, pick_route
-from pcorient.core import ConflictKind, Instance, Orientation, verify
+from pcorient.core import Conflict, ConflictKind, Instance, Multigraph, Orientation, verify
 from pcorient.errors import InvalidDocumentError, InvalidInstanceError
 from pcorient.matching import Matching
 from pcorient.oracle import decide_feasible
 
+from networks import build_switching_network
 from util import (
     cycle_edges,
     even_parity,
@@ -33,8 +34,12 @@ from util import (
     rand_forced,
     rand_graph,
     rand_parity,
+    serialize_reference,
     subset,
 )
+
+BENCH = Path(__file__).resolve().parent.parent / "perfbench"
+DATA = Path(__file__).resolve().parent / "data"
 
 MINIMAL = """
 {
@@ -68,6 +73,88 @@ def test_round_trip_is_canonical_on_seeded_instances():
         again = io.parse_instance(text)
         assert again == i
         assert io.serialize_instance(again) == text
+
+
+def sweep_instance(rng: random.Random) -> Instance:
+    """10-40 vertices, so string and numeric key order differ, plus a hub
+    of degree 10-14 whose conflict can reach 10 members; any field may be empty."""
+    g = rand_graph(rng, nmin=10, nmax=40, mmin=0, mmax=60)
+    n = g.vertex_count
+    hub = rng.randrange(n)
+    spokes = [(hub, rng.choice([w for w in range(n) if w != hub])) for _ in range(rng.randint(10, 14))]
+    g = Multigraph(n, g.edges + tuple(spokes))
+    conflicts = rand_conflicts(rng, g, None, max_count=4, max_size=5)
+    if rng.random() < 0.5:
+        wide = rng.sample(g.incident(hub), rng.randint(10, g.degree(hub)))
+        conflicts += (Conflict(hub, frozenset(wide), rng.choice(list(ConflictKind))),)
+    return Instance(
+        g,
+        rand_parity(rng, n, rng.choice([0.0, 0.7, 1.0])),
+        conflicts,
+        rand_forced(rng, g, rng.choice([0.0, 0.15, 0.5])),
+    )
+
+
+def test_writer_matches_json_on_seeded_instances():
+    rng = random.Random(25)
+    for trial in range(300):
+        i = sweep_instance(rng)
+        assert io.serialize_instance(i) == serialize_reference(i), f"trial {trial}"
+
+
+@pytest.mark.parametrize(
+    "i",
+    [
+        inst(0, []),
+        inst(2, [(0, 1)]),
+        inst(12, path_edges(12), parity={v: v % 2 for v in range(12)}),
+        inst(12, path_edges(12), forced={e: e + 1 for e in range(11)}),
+        inst(3, path_edges(3), conflicts=(Conflict(1, frozenset(), ConflictKind.EXACT),)),
+        inst(13, [(0, v) for v in range(1, 13)], conflicts=(subset(0, *range(12)), exact(0, *range(10)))),
+    ],
+    ids=["empty", "edges-only", "parity-only", "forced-only", "empty-conflict", "wide-conflicts"],
+)
+def test_writer_matches_json_on_empty_and_wide_fields(i):
+    assert io.serialize_instance(i) == serialize_reference(i)
+
+
+@pytest.mark.parametrize(
+    "i",
+    [
+        inst(2, [(0, 1)], parity={0: True, 1: False}, forced={0: True}),
+        inst(2**64 + 1, [(2**63, 2**64)], parity={2**63: 1, 0: 2**70}, forced={0: 2**64}),
+        inst(2, [(0, 1)], parity={0: 1.0, True: -1}, forced={0: None}),
+        inst(2, [(0, 1)], parity={0: [1, [0, {"b": 1, "a": []}]]}, forced={0: {"x": [2], "\u00e9\n": '"'}}),
+        inst(2, [(0, 1)], conflicts=(Conflict(True, frozenset([0.5, 2**64]), ConflictKind.SUBSET),)),
+    ],
+    ids=["bools", "above-2**63", "float-none-bool-key", "nested", "odd-conflict"],
+)
+def test_writer_falls_back_to_json_for_values_other_than_ints(i):
+    assert io.serialize_instance(i) == serialize_reference(i)
+
+
+def test_writer_matches_json_on_benchmark_documents(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    import run
+
+    for name in run._workloads():
+        for seed in (1, 2):
+            for p in run._generate(name, seed):
+                assert io.serialize_instance(p.instance) == serialize_reference(p.instance), p.name
+
+
+def test_writer_matches_json_on_hardness_and_network_instances(tmp_path):
+    formulas = [(DATA / "one_in_three_sat.txt").read_text(), "1 2 3\n", "1 2 3\n-1 -2 4\n2 3 -4\n1 -3 5\n"]
+    out = tmp_path / "doc.json"
+    for text in formulas:
+        formula = tmp_path / "f.txt"
+        formula.write_text(text)
+        for construction, reduce in (("ec", reduce_to_pco_2ec), ("sc", reduce_to_pco_2sc)):
+            assert main(["generate", construction, str(formula), "-o", str(out)]) == 0
+            assert out.read_text() == serialize_reference(reduce(parse_formula(text)).instance)
+    for k in range(2, 10):
+        i = build_switching_network(k).instance
+        assert io.serialize_instance(i) == serialize_reference(i), f"k={k}"
 
 
 def test_parse_rejects_unknown_fields():

@@ -84,6 +84,9 @@ ENTRIES = {**SOLVERS, "enumerate_best": enumerate_best, "decide_feasible": decid
         inst(2, [(0, 1)], forced={0: 5}),
         inst(3, [(0, 1), (1, 3)]),
         inst(2, [(0, 1), (0, 1)], conflicts=(exact(0, 0, 7),)),
+        inst(2, [(0, 1)], parity={0: True}),
+        inst(2, [(0, 1)], parity={0: 1.0}),
+        inst(2, [(0, 1)], forced={0: True}),
     ],
     ids=[
         "self-loop",
@@ -94,6 +97,9 @@ ENTRIES = {**SOLVERS, "enumerate_best": enumerate_best, "decide_feasible": decid
         "forced-head-unknown",
         "endpoint-out-of-range",
         "conflict-edge-unknown",
+        "parity-true",
+        "parity-float",
+        "forced-head-true",
     ],
 )
 def test_malformed_instances_are_rejected_at_entry(solver, bad):

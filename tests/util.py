@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from collections import deque
 from functools import lru_cache
 from itertools import product
@@ -27,7 +28,7 @@ from pcorient.core import (
     require_valid,
 )
 from pcorient.fpt import _choices, _merge
-from pcorient.matching import Round, RoundGraph, _Matcher
+from pcorient.matching import Matching, Round, RoundGraph, _Matcher
 
 
 def inst(
@@ -223,6 +224,11 @@ class ScanMatcher(_Matcher):
                 queue.append(i)
 
 
+def uncovered(m: Matching) -> tuple[int, ...]:
+    """The nodes a matching leaves exposed, in id order."""
+    return tuple(v for v, w in enumerate(m.mate) if w == -1)
+
+
 def brute_matching_size(node_count: int, links: list[tuple[int, int]]) -> int:
     """Maximum matching size by exhaustive search, memoized on covered nodes."""
     canon = sorted({(u, v) if u < v else (v, u) for u, v in links})
@@ -312,6 +318,23 @@ def components_rescan(g: Multigraph) -> list[Component]:
         eids = tuple(e for e, (u, _) in enumerate(g.edges) if u in vset)
         out.append(Component(tuple(sorted(verts)), eids))
     return out
+
+
+def serialize_reference(inst: Instance) -> str:
+    """Reference for ``io.serialize_instance``: the document as a dict,
+    written by ``json.dumps`` with sorted keys and a two-space indent."""
+    doc = {
+        "version": 1,
+        "vertices": inst.graph.vertex_count,
+        "edges": [[u, v] for u, v in inst.graph.edges],
+        "parity": {str(v): p for v, p in sorted(inst.parity.items())},
+        "conflicts": [
+            {"vertex": c.vertex, "edges": sorted(c.edges), "kind": c.kind.value}
+            for c in inst.conflicts
+        ],
+        "forced": {str(e): h for e, h in sorted(inst.forced.items())},
+    }
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 def pco_reference(inst: Instance, maximize: bool) -> PcoResult:
