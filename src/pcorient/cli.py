@@ -15,6 +15,15 @@ goes to the branching solver.
 The argument parser is built once, at import. ``main`` only parses, into
 a fresh namespace per call, so it can be called again in one process.
 
+``main`` runs each command with the cyclic garbage collector paused, and
+turns it back on afterwards if it was on. A solve allocates tens of
+thousands of small containers, none of them in a reference cycle, and
+the collector would rescan the live ones every few hundred allocations
+for nothing: that costs up to a tenth of a solve. No route leaves a
+cycle behind, so the pause holds no garbage. The library itself leaves
+``gc`` alone: interpreter-wide state belongs to the process's entry
+point, and this is it.
+
 Every route of ``solve`` returns a PcoResult and is reported the same
 way: a feasible result's orientation is written; an infeasible one
 prints ``infeasible``, followed by the best count when the route found
@@ -25,6 +34,7 @@ best orientation is written either way, with its count.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 
@@ -213,6 +223,8 @@ _PARSER = build_parser()
 
 def main(argv: list[str] | None = None) -> int:
     args = _PARSER.parse_args(argv)
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.fn(args)
     except (InvalidDocumentError, InvalidInstanceError) as exc:
@@ -230,6 +242,9 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -184,6 +184,11 @@ class VerifyReport:
         return not self.parity_violations and not self.conflict_violations
 
 
+def _id_order(x: object) -> tuple[bool, object]:
+    """Sort key for the ids of error messages: ints by value, then anything else by repr."""
+    return (False, x) if type(x) is int else (True, repr(x))
+
+
 def validate_instance(inst: Instance) -> list[str]:
     """Collect structural errors; an empty list means the instance is valid."""
     errors: list[str] = []
@@ -201,32 +206,46 @@ def validate_instance(inst: Instance) -> list[str]:
     if errors:
         # Incidence lookups below assume well-formed edges.
         return errors
-    # True and 1.0 equal 1, but only an int serializes as a document's integer.
+    # True and 1.0 equal 1, but only an int serializes as a document's integer,
+    # so every id and value below must be exactly an int.
     bad_parity = [
-        (v, p) for v, p in inst.parity.items() if not 0 <= v < n or p not in (0, 1) or type(p) is not int
+        (v, p)
+        for v, p in inst.parity.items()
+        if type(v) is not int or not 0 <= v < n or p not in (0, 1) or type(p) is not int
     ]
-    for v, p in sorted(bad_parity):
-        if not 0 <= v < n:
+    for v, p in sorted(bad_parity, key=lambda vp: _id_order(vp[0])):
+        if type(v) is not int:
+            errors.append(f"parity key {v!r} is not an int")
+        elif not 0 <= v < n:
             errors.append(f"parity constraint on unknown vertex {v}")
         if p not in (0, 1) or type(p) is not int:
             errors.append(f"parity of vertex {v} is {p}, expected 0 or 1")
     for i, c in enumerate(inst.conflicts):
+        if type(c.vertex) is not int:
+            errors.append(f"conflict {i} vertex {c.vertex!r} is not an int")
+            continue
         if not 0 <= c.vertex < g.vertex_count:
             errors.append(f"conflict {i} names unknown vertex {c.vertex}")
             continue
         if not c.edges:
             errors.append(f"conflict {i} has an empty edge set")
-        for e in sorted(c.edges):
-            if not 0 <= e < g.edge_count:
+        for e in sorted(c.edges, key=_id_order):
+            if type(e) is not int:
+                errors.append(f"conflict {i} member {e!r} is not an int")
+            elif not 0 <= e < g.edge_count:
                 errors.append(f"conflict {i} names unknown edge {e}")
             elif c.vertex not in g.endpoints(e):
                 errors.append(f"conflict {i}: edge {e} not incident to conflict vertex {c.vertex}")
     m = len(edges)
     bad_forced = [
-        (e, h) for e, h in inst.forced.items() if not 0 <= e < m or h not in edges[e] or type(h) is not int
+        (e, h)
+        for e, h in inst.forced.items()
+        if type(e) is not int or not 0 <= e < m or h not in edges[e] or type(h) is not int
     ]
-    for e, h in sorted(bad_forced):
-        if not 0 <= e < m:
+    for e, h in sorted(bad_forced, key=lambda eh: _id_order(eh[0])):
+        if type(e) is not int:
+            errors.append(f"forced key {e!r} is not an int")
+        elif not 0 <= e < m:
             errors.append(f"forced orientation names unknown edge {e}")
         else:
             errors.append(f"forced head {h} is not an endpoint of edge {e}")

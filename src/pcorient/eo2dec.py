@@ -168,14 +168,17 @@ def solve_eo_2dec(inst: Instance) -> PcoResult:
     returns that result: satisfied counts the even vertices, so
     vertex_count - satisfied are left odd. Forced edges are rejected,
     contract them away first. solve_pco_2dec validates the instance, so
-    the map it gets keeps any parity key off the graph.
+    the map it gets keeps every given parity key as it was given, off the
+    graph or not an int.
     """
     if any(p != 0 for p in inst.parity.values()):
         raise InvalidInstanceError("even-orientation solver requires an all-even parity map")
     if inst.forced:
         raise InvalidInstanceError("even-orientation solver takes no forced edges")
-    n = inst.graph.vertex_count
-    res = solve_pco_2dec(replace(inst, parity={**dict.fromkeys(range(n), 0), **inst.parity}))
+    parity = dict(inst.parity)
+    for v in range(inst.graph.vertex_count):
+        parity.setdefault(v, 0)
+    res = solve_pco_2dec(replace(inst, parity=parity))
     if res.orientation is None:
         raise RuntimeError("the pair route found no orientation without forced edges")
     return res

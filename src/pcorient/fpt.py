@@ -187,7 +187,10 @@ def _branch(inst: Instance) -> PcoResult:
                 return res
         return None
 
-    res = rec(0, dict(inst.forced))
+    try:
+        res = rec(0, dict(inst.forced))
+    finally:
+        del rec  # it holds itself through its closure; the cycle would outlive the solve
     if res is None:
         return PcoResult(False, None, 0, branches=leaves)
     with self_check("the branching route"):

@@ -214,7 +214,10 @@ def iter_feasible(inst: Instance):
             indeg[h] -= 1
             heads[e] = -1
 
-    yield from dfs(0)
+    try:
+        yield from dfs(0)
+    finally:
+        del dfs  # it holds itself through its closure; the cycle would outlive the search
 
 
 def decide_feasible(inst: Instance) -> Orientation | None:

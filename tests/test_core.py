@@ -80,6 +80,30 @@ def test_validate_rejects_parity_and_forced_heads_that_are_not_ints():
     assert validate_instance(Instance(g, {0: 1, 1: 0}, (), {0: 0})) == []
 
 
+def test_validate_rejects_ids_that_are_not_ints():
+    # Each would solve, and then fail to round-trip through a document.
+    g = Multigraph(3, tuple(P3))
+    bad = {
+        "parity key True is not an int": Instance(g, {True: 0}),
+        "forced key True is not an int": Instance(g, forced={True: 2}),
+        "conflict 0 vertex True is not an int": Instance(g, conflicts=(exact(True, 0, 1),)),
+        "conflict 0 member True is not an int": Instance(g, conflicts=(exact(1, 0, True),)),
+    }
+    for message, i in bad.items():
+        assert validate_instance(i) == [message]
+    # Ids that do not compare with ints are listed after them, by repr.
+    mixed = Instance(g, {"b": 0, 1: 2, "a": 0}, (exact(1, 0, "x"),), {"e": 1, 9: 0})
+    assert validate_instance(mixed) == [
+        "parity of vertex 1 is 2, expected 0 or 1",
+        "parity key 'a' is not an int",
+        "parity key 'b' is not an int",
+        "conflict 0 member 'x' is not an int",
+        "forced orientation names unknown edge 9",
+        "forced key 'e' is not an int",
+    ]
+    assert validate_instance(Instance(g, {1: 0}, (exact(1, 0, 1),), {1: 2})) == []
+
+
 def test_validate_lists_every_error_in_id_order():
     # Parity and forced entries out of id order; the messages come sorted
     # by id, parity before conflicts before forced.

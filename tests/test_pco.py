@@ -87,6 +87,10 @@ ENTRIES = {**SOLVERS, "enumerate_best": enumerate_best, "decide_feasible": decid
         inst(2, [(0, 1)], parity={0: True}),
         inst(2, [(0, 1)], parity={0: 1.0}),
         inst(2, [(0, 1)], forced={0: True}),
+        inst(2, [(0, 1)], parity={True: 0}),
+        inst(3, path_edges(3), forced={True: 2}),
+        inst(3, path_edges(3), {1: 0}, (exact(True, 0, 1),)),
+        inst(3, path_edges(3), {1: 0}, (exact(1, 0, True),)),
     ],
     ids=[
         "self-loop",
@@ -100,6 +104,10 @@ ENTRIES = {**SOLVERS, "enumerate_best": enumerate_best, "decide_feasible": decid
         "parity-true",
         "parity-float",
         "forced-head-true",
+        "parity-key-true",
+        "forced-key-true",
+        "conflict-vertex-true",
+        "conflict-member-true",
     ],
 )
 def test_malformed_instances_are_rejected_at_entry(solver, bad):
