@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import json
 import sys
 
 from . import io
@@ -154,12 +153,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     art = builder(f)
     _write(args.output, io.serialize_instance(art.instance))
     if args.labels:
-        meta = {
-            "labels": art.labels,
-            "padded_clauses": list(art.padded_clauses),
-            "padded_variables": list(art.padded_variables),
-        }
-        _write(args.labels, json.dumps(meta, sort_keys=True, indent=2) + "\n")
+        _write(args.labels, io.serialize_roles(art.labels, art.padded_clauses, art.padded_variables))
     return EXIT_OK
 
 

@@ -173,8 +173,8 @@ def _key(key: object) -> str:
     return f'"{key}"' if type(key) is int else json.dumps(str(key))
 
 
-def _id_object(ids: dict[int, int]) -> str:
-    """A parity or forced map, keys in string order: "10" precedes "9"."""
+def _id_object(ids: dict[int, int] | dict[str, int]) -> str:
+    """A parity, forced or role map, keys in string order: "10" precedes "9"."""
     members = [f'    {_key(k)}: {_text(ids[k], "    ")}' for k in sorted(ids, key=str)]
     return "{\n" + ",\n".join(members) + "\n  }" if members else "{}"
 
@@ -203,6 +203,23 @@ def serialize_instance(inst: Instance) -> str:
         f'  "parity": {_id_object(inst.parity)},\n'
         f'  "version": {FORMAT_VERSION},\n'
         f'  "vertices": {_text(inst.graph.vertex_count, "  ")}\n'
+        "}\n"
+    )
+
+
+def serialize_roles(
+    labels: dict[str, int], padded_clauses: tuple[int, ...], padded_variables: tuple[int, ...]
+) -> str:
+    """A hardness construction's role map, written as ``serialize_instance``
+    writes a document: the bytes of ``json.dumps`` of the three fields with
+    sorted keys and a two-space indent, plus a newline."""
+    clauses = [f"    {_text(j, '    ')}" for j in padded_clauses]
+    variables = [f"    {_text(x, '    ')}" for x in padded_variables]
+    return (
+        "{\n"
+        f'  "labels": {_id_object(labels)},\n'
+        f'  "padded_clauses": {_array(clauses, "  ")},\n'
+        f'  "padded_variables": {_array(variables, "  ")}\n'
         "}\n"
     )
 

@@ -7,26 +7,26 @@ on the root, so rooting at an unconstrained vertex makes a feasible
 component succeed, and rooting at a designated sacrifice vertex makes an
 infeasible component miss exactly one constraint.
 
-A solve makes two linear passes over the contracted graph. The first
-decides every component from its free vertices, parity sum and edge
-count, and picks its root; a decision solve stops at the first
-infeasible one before orienting anything. The second orients every
-component at once: one BFS from all the roots into flat per-vertex
-lists, then one children-first sweep over the whole BFS order.
+A solve is one BFS over the input graph. Every unforced edge starts at
+its larger end and every forced edge at its forced head, so nothing is
+contracted or expanded; the components are those of the unforced edges.
+They are rooted in id order: first from each free vertex not yet
+reached, the smallest free vertex of its component; then from each
+vertex still not reached, the smallest vertex of a component with every
+vertex constrained. Re-pointing edges inside a component keeps its total
+indegree, so such a component is feasible exactly when its targets plus
+its indegrees sum to an even number; a decision solve stops at the first
+that is not. One children-first sweep over the whole BFS order then
+fixes every constrained vertex.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
-from .core import (
-    Instance,
-    Orientation,
-    components,
-    contract_forced,
-    expand_orientation,
-    require_valid,
-)
+from .core import EdgeId, Instance, Orientation, VertexId, require_valid
+from .core import components, contract_forced  # noqa: F401; perfbench/spans.py hooks them here by name
 from .errors import InvalidInstanceError
 
 
@@ -55,8 +55,8 @@ def solve_pco(inst: Instance) -> PcoResult:
     """Feasibility and a witness, or an infeasible verdict.
 
     A component is feasible when it has an unconstrained vertex, or when
-    its constraint parities sum to the edge count mod 2; forced edges are
-    contracted away first, flipping the parity at each forced head.
+    its targets plus the indegrees of any one orientation sum to an even
+    number; forced edges count toward their heads' indegrees.
     Raises InvalidInstanceError on a malformed instance or any conflict.
     """
     return _solve(inst, maximize=False)
@@ -73,56 +73,53 @@ def solve_pco_max(inst: Instance) -> PcoResult:
 
 
 def _solve(inst: Instance, maximize: bool) -> PcoResult:
-    """Contract forced edges, decide every component, then orient them all.
+    """Orient the input in one BFS and one children-first sweep.
 
     A component's root is its smallest free vertex; with none, its
-    smallest vertex when its parities sum to its edge count mod 2, else
-    its largest, the max route's sacrifice. One BFS from all the roots
-    keeps each component's own BFS order, so the trees, and the heads,
-    are those of a sweep one component at a time. Every edge starts
-    pointed at its larger end (pairs are sorted); the children-first
-    sweep re-points only the parent edges of constrained vertices.
+    smallest vertex when its targets plus its indegrees sum to an even
+    number, else its largest, the max route's sacrifice, and its BFS is
+    redone from there. Every unforced edge starts at its larger end (pairs
+    are sorted); the sweep re-points only the parent edges of constrained
+    vertices. Forced edges stay out of the adjacency and keep their heads.
     """
     require_valid(inst)
     if inst.conflicts:
         raise InvalidInstanceError("base parity solver does not accept conflicts")
-    con = contract_forced(inst)
-    if con is None:
-        raise RuntimeError("forced-edge contraction failed on a conflict-free instance")
-    red = con.instance
-    g = red.graph
-    parity = red.parity
-    roots: list[int] = []
-    missed = 0
-    for verts, eids in components(g):
-        root = next((v for v in verts if v not in parity), None)
-        if root is None:
-            root = verts[0]
-            if (sum(parity[v] for v in verts) + len(eids)) % 2:
-                if not maximize:
-                    return PcoResult(False, None, 0)
-                missed += 1
-                root = verts[-1]
-        roots.append(root)
+    g = inst.graph
+    n = g.vertex_count
     edges = g.edges
-    incident = g.incident
-    seen = [False] * g.vertex_count
-    parent = [-1] * g.vertex_count
-    for r in roots:
-        seen[r] = True
-    order = roots  # BFS from every root at once; each component keeps its own order
-    for v in order:
-        for e in incident(v):
-            a, b = edges[e]
-            w = b if a == v else a
-            if not seen[w]:
-                seen[w] = True
-                parent[w] = e
-                order.append(w)
+    parity = inst.parity
+    forced = inst.forced
     heads = [b for _, b in edges]
-    indeg = [0] * g.vertex_count
-    for b in heads:
+    indeg = [0] * n
+    adj: list[list[EdgeId]] = [[] for _ in range(n)]
+    for e, (a, b) in enumerate(edges):
+        if e in forced:
+            b = heads[e] = forced[e]
+        else:
+            adj[a].append(e)
+            adj[b].append(e)
         indeg[b] += 1
+    seen = [False] * n
+    parent = [-1] * n
+    order: list[VertexId] = []
+    missed = 0
+    # Free roots first, so a root still unreached afterwards is constrained,
+    # and so is the rest of its component.
+    for r in chain([v for v in range(n) if v not in parity], range(n)):
+        if seen[r]:
+            continue
+        tree = _bfs(r, adj, edges, seen, parent)
+        if r in parity and sum([parity[v] + indeg[v] for v in tree]) % 2:
+            if not maximize:
+                return PcoResult(False, None, 0)
+            missed += 1
+            for v in tree:
+                seen[v] = False
+            r = max(tree)
+            parent[r] = -1
+            tree = _bfs(r, adj, edges, seen, parent)
+        order += tree
     for v in reversed(order):
         e = parent[v]
         p = parity.get(v)
@@ -133,5 +130,25 @@ def _solve(inst: Instance, maximize: bool) -> PcoResult:
         h = v if indeg[v] % 2 != p else a if b == v else b
         heads[e] = h
         indeg[h] += 1
-    o = expand_orientation(con, Orientation(tuple(heads)))
-    return PcoResult(missed == 0, o, len(parity) - missed)
+    return PcoResult(missed == 0, Orientation(tuple(heads)), len(parity) - missed)
+
+
+def _bfs(
+    root: VertexId,
+    adj: list[list[EdgeId]],
+    edges: tuple[tuple[VertexId, VertexId], ...],
+    seen: list[bool],
+    parent: list[EdgeId],
+) -> list[VertexId]:
+    """BFS order of root's component; marks ``seen`` and each tree edge in ``parent``."""
+    tree = [root]
+    seen[root] = True
+    for v in tree:  # the list is the queue
+        for e in adj[v]:
+            a, b = edges[e]
+            w = b if a == v else a
+            if not seen[w]:
+                seen[w] = True
+                parent[w] = e
+                tree.append(w)
+    return tree

@@ -58,6 +58,7 @@ def files(tmp_path_factory):
     paths["bad"] = tmp / "bad.json"
     paths["bad"].write_text('{"version": 1')
     paths["out"] = tmp / "out.txt"
+    paths["labels"] = tmp / "labels.json"
     # numpy's first import leaves cyclic garbage of its own; pay it here.
     assert cli.main(["oracle", str(paths["pco"]), "-o", str(paths["out"])]) == 0
     gc.collect()
@@ -73,6 +74,7 @@ COMMANDS = {
     "verify": (["verify", "@pco", "@heads"], 0),
     "export-dot": (["export-dot", "@pco", "--orientation", "@heads", "-o", "@out"], 0),
     "generate-ec": (["generate", "ec", "@formula", "-o", "@out"], 0),
+    "generate-ec-labels": (["generate", "ec", "@formula", "-o", "@out", "--labels", "@labels"], 0),
     "exit-2": (["solve", "@bad"], 2),
     "exit-3": (["solve", "@single-edge-exact", "--solver", "pco-dec"], 3),
 }

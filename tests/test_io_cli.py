@@ -10,11 +10,12 @@ import re
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from pcorient import cli, core, eo2dec, fpt, io, parse_formula, pco, reduce_to_pco_2ec, reduce_to_pco_2sc
+from pcorient import PcoResult, cli, core, eo2dec, fpt, io, parse_formula, reduce_to_pco_2ec, reduce_to_pco_2sc
 from pcorient.cli import main, pick_route
 from pcorient.core import Conflict, ConflictKind, Instance, Multigraph, Orientation, verify
 from pcorient.errors import InvalidDocumentError, InvalidInstanceError
@@ -573,30 +574,35 @@ def test_cli_a_matcher_fault_exits_4(route, i, tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err.startswith(f"route: {route}\ninternal error: ")
 
 
-# A feasible document per route whose own check runs after expand_orientation.
+# A feasible document per route, and the seam that route's own check of
+# its orientation runs after: the expansion of a contracted orientation
+# on the pair routes, the leaf witness on the branching route.
 SELF_CHECKED = {
-    "pco-2dec": (eo2dec, inst(3, path_edges(3), {1: 1}, (exact(1, 0, 1),))),
-    "pco-dec": (eo2dec, inst(4, [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3)], {1: 1, 3: 1}, (exact(0, 0, 1, 2), exact(2, 3, 4)))),
-    "pco-dsc": (eo2dec, inst(4, cycle_edges(4), even_parity(4), (subset(0, 0, 3), subset(2, 1, 2)))),
-    "pco-ec-fpt": (pco, inst(4, cycle_edges(4), even_parity(4), (subset(0, 0, 3), exact(2, 1, 2)))),
+    "pco-2dec": ((eo2dec, "expand_orientation"), inst(3, path_edges(3), {1: 1}, (exact(1, 0, 1),))),
+    "pco-dec": ((eo2dec, "expand_orientation"), inst(4, [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3)], {1: 1, 3: 1}, (exact(0, 0, 1, 2), exact(2, 3, 4)))),
+    "pco-dsc": ((eo2dec, "expand_orientation"), inst(4, cycle_edges(4), even_parity(4), (subset(0, 0, 3), subset(2, 1, 2)))),
+    "pco-ec-fpt": ((fpt, "solve_pco"), inst(4, cycle_edges(4), even_parity(4), (subset(0, 0, 3), exact(2, 1, 2)))),
 }
+
+
+def _off_the_graph(out):
+    """The seam's result with every head at a vertex off the graph."""
+    if isinstance(out, PcoResult):
+        return replace(out, orientation=_off_the_graph(out.orientation))
+    return Orientation((10**6,) * len(out.heads))
 
 
 @pytest.mark.parametrize("route", sorted(SELF_CHECKED))
 def test_cli_a_route_self_check_fault_exits_4(route, tmp_path, monkeypatch, capsys):
-    # A faulty expansion points every edge at a vertex off the graph. The
+    # A faulty seam points every edge at a vertex off the graph. The
     # route's verify of its own orientation rejects that, which is a bug
     # in the route, not bad input.
-    module, i = SELF_CHECKED[route]
+    (module, attr), i = SELF_CHECKED[route]
     path = _document(tmp_path, route, i)
     assert main(["solve", str(path), "-v", "-o", str(tmp_path / "heads.txt")]) == 0
     assert capsys.readouterr().err == f"route: {route}\n"
-    expand = module.expand_orientation
-
-    def off_the_graph(con, o):
-        return Orientation((10**6,) * len(expand(con, o).heads))
-
-    monkeypatch.setattr(module, "expand_orientation", off_the_graph)
+    real = getattr(module, attr)
+    monkeypatch.setattr(module, attr, lambda *args: _off_the_graph(real(*args)))
     assert main(["solve", str(path), "-v"]) == 4
     err = capsys.readouterr().err
     assert err.startswith(f"route: {route}\ninternal error: ")
@@ -719,6 +725,26 @@ def test_cli_generate_then_decide(tmp_path, capsys):
     assert any(name.startswith("clause/") for name in meta["labels"])
     assert main(["generate", "sc", str(formula), "-o", str(out)]) == 0
     assert json.loads(out.read_text())["conflicts"][0]["kind"] == "subset"
+
+
+@pytest.mark.parametrize("formula", ["one_in_three_sat.txt", "padded"])
+@pytest.mark.parametrize("construction", ["ec", "sc"])
+def test_cli_generate_labels_are_the_bytes_json_writes(construction, formula, tmp_path):
+    # The role map is written directly, in the bytes of json's indent
+    # encoder: sorted string keys, two-space nesting, [] when nothing is padded.
+    text = (DATA / formula).read_text() if formula.endswith(".txt") else "1 2 3\n"
+    (tmp_path / "f.txt").write_text(text)
+    labels = tmp_path / "labels.json"
+    argv = ["generate", construction, str(tmp_path / "f.txt"), "-o", str(tmp_path / "i.json"), "--labels", str(labels)]
+    assert main(argv) == 0
+    art = (reduce_to_pco_2ec if construction == "ec" else reduce_to_pco_2sc)(parse_formula(text))
+    meta = {
+        "labels": art.labels,
+        "padded_clauses": list(art.padded_clauses),
+        "padded_variables": list(art.padded_variables),
+    }
+    assert labels.read_text() == json.dumps(meta, sort_keys=True, indent=2) + "\n"
+    assert bool(art.padded_clauses) == (construction == "sc")
 
 
 def test_cli_rejects_bad_documents(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 from random import Random
 
 import pytest
@@ -19,6 +20,7 @@ from pcorient import (
     verify,
 )
 from pcorient.cli import _DECISION_SOLVERS
+from pcorient import core, pco
 from pcorient.core import contract_forced
 from pcorient.errors import InvalidInstanceError
 from pcorient.oracle import decide_feasible
@@ -32,6 +34,7 @@ from util import (
     path_edges,
     pco_reference,
     rand_forced,
+    rand_forest,
     rand_graph,
     rand_parity,
 )
@@ -255,3 +258,59 @@ def test_sweep_matches_the_per_component_reference():
         seen["isolated"] += any(i.graph.degree(v) == 0 for v in range(i.graph.vertex_count))
         seen["parallel"] += len(set(i.graph.edges)) < i.graph.edge_count
     assert min(seen.values()) >= 20, seen
+
+
+def base_forests():
+    """30 seeded bench-shaped forests of 300-3,000 edges, a third infeasible."""
+    for seed in range(30):
+        rng = Random(seed)
+        yield rand_forest(rng, rng.randint(300, 3000), infeasible=seed % 3 == 2)
+
+
+def test_forests_match_the_per_component_reference():
+    # The reference again, on instances far larger than component_union's.
+    infeasible = 0
+    for k, i in enumerate(base_forests()):
+        for maximize, solve in ((False, solve_pco), (True, solve_pco_max)):
+            got = solve(i)
+            want = pco_reference(i, maximize)
+            assert (got.feasible, got.satisfied, got.orientation) == (
+                want.feasible, want.satisfied, want.orientation), (k, maximize)
+        infeasible += not solve_pco(i).feasible
+    assert infeasible == 10
+
+
+def test_base_route_is_pinned():
+    # Every verdict, count and orientation of both base solvers on the
+    # component unions and the forests, hashed together. The digest was
+    # taken from the three-pass route that contracted forced edges,
+    # listed components, then oriented; the one-pass route must match.
+    h = hashlib.sha256()
+    unions = (component_union(Random(seed)) for seed in range(600))
+    for i in (*unions, *base_forests()):
+        for solve in (solve_pco, solve_pco_max):
+            r = solve(i)
+            h.update(repr((r.feasible, r.satisfied, r.orientation)).encode())
+    assert h.hexdigest() == "e839fd8fe0a6f868741a723a072e75f1d68c3d1435ddd65c93a78f5cc2bb48e9"
+
+
+def test_base_route_solves_the_input_in_one_pass(monkeypatch):
+    # No contracted copy, no components pass and no expansion, wherever
+    # the route might look them up; and the input graph gets no
+    # incidence cache, because the route builds its own adjacency.
+    calls = []
+    for name in ("contract_forced", "components", "expand_orientation"):
+        def spy(*args, name=name, real=getattr(core, name)):
+            calls.append(name)
+            return real(*args)
+
+        for module in (pcorient, core, pco):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, spy)
+    for k, infeasible in enumerate((False, True)):
+        i = rand_forest(Random(k), 300, infeasible)
+        assert i.forced
+        for solve in (solve_pco, solve_pco_max):
+            assert solve(i).feasible is not infeasible
+        assert "_incidence" not in vars(i.graph)
+    assert calls == []

@@ -169,6 +169,43 @@ def planted_instance(rng: Random, max_size: int, density: float) -> Instance:
     return Instance(g, parity, kept)
 
 
+def rand_forest(rng: Random, m: int, infeasible: bool) -> Instance:
+    """A conflict-free forest of about ``m`` edges, the bench's base shape.
+
+    Components of 2-40 vertices, each a random tree plus extra (maybe
+    parallel) edges to an average degree of 3, with shuffled vertex ids
+    and edge order. Targets and forced heads come from one random
+    orientation; 70% of vertices are constrained and 15% of edges are
+    forced. ``infeasible`` constrains every vertex of one component and
+    flips one of its targets.
+    """
+    blocks: list[range] = []
+    edges: list[tuple[int, int]] = []
+    n = 0
+    while len(edges) < m:
+        block = range(n, n + rng.randint(2, 40))
+        edges += [(v, rng.randrange(block.start, v)) for v in block[1:]]
+        for _ in range(max(0, round(1.5 * len(block)) - (len(block) - 1))):
+            edges.append(tuple(rng.sample(block, 2)))
+        blocks.append(block)
+        n = block.stop
+    label = rng.sample(range(n), n)
+    edges = [(label[u], label[v]) for u, v in edges]
+    rng.shuffle(edges)
+    g = Multigraph(n, tuple(edges))
+    heads = [rng.choice(ends) for ends in g.edges]
+    target = [0] * n
+    for h in heads:
+        target[h] ^= 1
+    parity = {v: target[v] for v in range(n) if rng.random() < 0.7}
+    forced = {e: heads[e] for e in range(g.edge_count) if rng.random() < 0.15}
+    if infeasible:
+        comp = [label[v] for v in rng.choice(blocks)]
+        parity.update((v, target[v]) for v in comp)
+        parity[rng.choice(comp)] ^= 1
+    return Instance(g, parity, (), forced)
+
+
 def random_regular_multigraph(rng: Random, n: int, degree: int) -> Multigraph:
     """Configuration model; parallels kept, pairings with self-loops redrawn."""
     stubs = [v for v in range(n) for _ in range(degree)]
