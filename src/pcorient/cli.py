@@ -4,9 +4,12 @@ Subcommands: ``solve`` (route an instance to a solver and emit the
 orientation), ``verify`` (check an orientation file), ``oracle``
 (brute-force ground truth), ``generate`` (satisfiability-encoding
 instances), ``export-dot``. Exit codes: 0 feasible/ok, 1 infeasible,
-2 input error, 3 valid input the chosen route cannot express (forced
-edges that cut a conflict down on a decision route, a single-edge exact
-conflict that ``normalize`` keeps given ``--solver pco-dec``, an oracle
+2 input error, 3 valid input the chosen route cannot express (a forced
+edge that halves a pair on ``pco-2dec``, with or without
+``--max-parities``, or cuts a conflict below two edges on ``pco-dec``;
+forced edges that leave an exact conflict as "some other edge in", every
+member forced in and some other incident edge free; a single-edge exact
+conflict that ``normalize`` keeps given ``--solver pco-dec``; an oracle
 sweep past its budget), 4 internal error (a solver's own consistency
 check failed, or any other exception). ``pick_route`` lives in ``core``
 and has a route for every instance: whatever no polynomial route takes

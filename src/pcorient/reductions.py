@@ -24,7 +24,8 @@ its target, odd, even or none, which the pair route takes as it is;
 each reduction says how a host's target is carried.
 Construction order is fixed (vertices in original order, conflicts in
 list order, members by edge id) so a given input always produces the
-identical reduced instance.
+identical reduced instance. Gadget vertices take the ids after the
+original ones, the hosts' inner vertices of ``pco_dec_to_eo_2dec`` first.
 """
 
 from __future__ import annotations
@@ -46,14 +47,11 @@ class ReductionMap:
 
     ``edge_map[e]`` is the reduced id of original edge e, and
     ``head_map[e]`` lists the two reduced endpoints together with the
-    original endpoint each one encodes. Gadget vertices and edges are
-    listed with a role tag for inspection and debugging.
+    original endpoint each one encodes.
     """
 
     edge_map: tuple[int, ...]
     head_map: tuple[HeadPair, ...]
-    new_vertices: tuple[tuple[int, str], ...]
-    new_edges: tuple[tuple[int, str], ...]
 
     def __post_init__(self) -> None:
         if len(self.edge_map) != len(self.head_map):
@@ -100,11 +98,10 @@ def _attach_edges(
 
 
 def _finish_pairs(
-    b: InstanceBuilder, inst: Instance, edge_map: list[int], head_map: list[HeadPair],
-    new_vertices: list[tuple[int, str]], new_edges: list[tuple[int, str]],
+    b: InstanceBuilder, inst: Instance, edge_map: list[int], head_map: list[HeadPair]
 ) -> tuple[Instance, ReductionMap]:
     """Build a pair reduction's map and instance, carrying the forced edges over."""
-    rmap = ReductionMap(tuple(edge_map), tuple(head_map), tuple(new_vertices), tuple(new_edges))
+    rmap = ReductionMap(tuple(edge_map), tuple(head_map))
     _carry_forced(b, inst, rmap)
     out = b.build()
     if any(c.size != 2 for c in out.conflicts):
@@ -112,40 +109,24 @@ def _finish_pairs(
     return out, rmap
 
 
-def pco_to_eo(inst: Instance, conflict_mode: str = "none") -> tuple[Instance, ReductionMap]:
+def pco_to_eo(inst: Instance) -> tuple[Instance, ReductionMap]:
     """Reduce parity constraints to the all-even special case.
 
-    ``conflict_mode`` declares the conflict kinds present: "none",
-    "exact", or "subset". Exact conflicts of odd size grow by the new
-    edge at their vertex (the pendant edge at odd-constrained vertices,
-    the hub edge at unconstrained ones); parity forces that edge's
-    membership in the incoming set whenever the original set was all
-    incoming, so equality checks transfer. Subset conflicts and
-    even-size exact conflicts pass through untouched. Odd-size exact
-    conflicts at even-constrained vertices cannot occur on normalized
-    input and are rejected.
+    Each conflict is carried by its own kind. Exact conflicts of odd
+    size grow by the new edge at their vertex (the pendant edge at
+    odd-constrained vertices, the hub edge at unconstrained ones); parity
+    forces that edge's membership in the incoming set whenever the
+    original set was all incoming, so equality checks transfer. Subset
+    conflicts and even-size exact conflicts pass through untouched.
+    Odd-size exact conflicts at even-constrained vertices cannot occur on
+    normalized input and are rejected.
     """
-    kinds = {c.kind for c in inst.conflicts}
-    allowed = {
-        "none": set(),
-        "exact": {ConflictKind.EXACT},
-        "subset": {ConflictKind.SUBSET},
-    }
-    if conflict_mode not in allowed:
-        raise InvalidInstanceError(f"unknown conflict mode {conflict_mode!r}")
-    if not kinds <= allowed[conflict_mode]:
-        raise InvalidInstanceError(
-            f"conflict kinds {sorted(k.value for k in kinds)} do not match mode {conflict_mode!r}"
-        )
-
     g = inst.graph
     n = g.vertex_count
     b = InstanceBuilder()
     for _ in range(n):
         b.add_vertex(0)
 
-    new_vertices: list[tuple[int, str]] = []
-    new_edges: list[tuple[int, str]] = []
     edge_map, head_map = _attach_edges(b, inst, {})
 
     # Pendants for odd-constrained vertices; the pendant is even, so its
@@ -154,25 +135,15 @@ def pco_to_eo(inst: Instance, conflict_mode: str = "none") -> tuple[Instance, Re
     grown: dict[int, int] = {}  # vertex -> new edge joining it
     for v in range(n):
         if inst.parity.get(v) == 1:
-            dummy = b.add_vertex(0)
-            e = b.add_edge(v, dummy)
-            new_vertices.append((dummy, "parity-dummy"))
-            new_edges.append((e, "parity-dummy-edge"))
-            grown[v] = e
+            grown[v] = b.add_edge(v, b.add_vertex(0))
 
     unconstrained = [v for v in range(n) if v not in inst.parity]
     if unconstrained:
         hub = b.add_vertex(0)
-        new_vertices.append((hub, "float-hub"))
         for v in unconstrained:
-            e = b.add_edge(v, hub)
-            new_edges.append((e, "float-hub-edge"))
-            grown[v] = e
+            grown[v] = b.add_edge(v, hub)
         if (len(g.edges) + len(grown)) % 2 == 1:
-            pendant = b.add_vertex(0)
-            e = b.add_edge(hub, pendant)
-            new_vertices.append((pendant, "float-hub-pendant"))
-            new_edges.append((e, "float-hub-pendant-edge"))
+            b.add_edge(hub, b.add_vertex(0))
 
     for c in inst.conflicts:
         members = tuple(edge_map[e] for e in sorted(c.edges))
@@ -184,12 +155,7 @@ def pco_to_eo(inst: Instance, conflict_mode: str = "none") -> tuple[Instance, Re
             members = members + (grown[c.vertex],)
         b.add_conflict(c.vertex, members, c.kind)
 
-    rmap = ReductionMap(
-        edge_map=tuple(edge_map),
-        head_map=tuple(head_map),
-        new_vertices=tuple(new_vertices),
-        new_edges=tuple(new_edges),
-    )
+    rmap = ReductionMap(tuple(edge_map), tuple(head_map))
     _carry_forced(b, inst, rmap)
     return b.build(), rmap
 
@@ -222,8 +188,6 @@ def pco_dec_to_eo_2dec(inst: Instance) -> tuple[Instance, ReductionMap]:
     for v in sorted(hosts):
         p = inst.parity.get(v)
         inner[v] = b.add_vertex(None if p is None else 1 - p)
-    new_vertices = [(w, "path-inner") for w in inner.values()]
-    new_edges: list[tuple[int, str]] = []
 
     # Networks for the big conflicts; their input edges are the original
     # edge images, created afterwards.
@@ -240,25 +204,21 @@ def pco_dec_to_eo_2dec(inst: Instance) -> tuple[Instance, ReductionMap]:
             slot_of[(e, c.vertex)] = em.input_slots[slot]
         b.add_conflict(c.vertex, (em.outputs[0], em.outputs[1]), ConflictKind.EXACT)
         emissions.append((c, em))
-        new_vertices.extend((v, "net-internal") for v in em.new_vertices)
-        new_edges.extend(
-            (e, "net-output" if e in em.outputs else "net-edge") for e in em.new_edges
-        )
-        if len(em.new_edges) % 2 or mark + len(em.new_edges) != b.edge_count:
-            raise RuntimeError("switching network emitted an odd or misplaced edge set")
+        if (b.edge_count - mark) % 2:
+            raise RuntimeError("switching network emitted an odd edge set")
 
     edge_map, head_map = _attach_edges(b, inst, slot_of)
     for c, em in emissions:
         finish_network_inputs(b, em, [edge_map[e] for e in sorted(c.edges)])
 
     for v, w in inner.items():
-        new_edges.append((b.add_edge(v, w), "path-link"))
+        b.add_edge(v, w)
 
     for c in inst.conflicts:
         if c.size == 2:
             pair = tuple(edge_map[e] for e in sorted(c.edges))
             b.add_conflict(c.vertex, pair, ConflictKind.EXACT)
-    return _finish_pairs(b, inst, edge_map, head_map, new_vertices, new_edges)
+    return _finish_pairs(b, inst, edge_map, head_map)
 
 
 def eo_dsc_to_eo_2dec(inst: Instance) -> tuple[Instance, ReductionMap]:
@@ -287,32 +247,23 @@ def eo_dsc_to_eo_2dec(inst: Instance) -> tuple[Instance, ReductionMap]:
         p = inst.parity.get(v)
         b.add_vertex(None if p is None else (p + odd_at[v]) % 2)
 
-    new_vertices: list[tuple[int, str]] = []
-    new_edges: list[tuple[int, str]] = []
     arm_of: dict[tuple[int, int], int] = {}  # (edge, endpoint) -> arm vertex
     gadgets = []
     for c in inst.conflicts:
         members = sorted(c.edges)
         hub = b.add_vertex(0)
-        new_vertices.append((hub, "fan-hub"))
         arms = []
         for e in members:
             arm = b.add_vertex(0)
             arms.append(arm)
             arm_of[(e, c.vertex)] = arm
-            new_vertices.append((arm, "fan-arm"))
-        pendant = b.add_vertex(0)
-        new_vertices.append((pendant, "fan-pendant"))
-        gadgets.append((c, hub, arms, pendant))
+        gadgets.append((c, hub, arms, b.add_vertex(0)))
 
     edge_map, head_map = _attach_edges(b, inst, arm_of)
     for c, hub, arms, pendant in gadgets:
         for arm in arms:
-            e = b.add_edge(hub, arm)
-            new_edges.append((e, "fan-arm-edge"))
+            b.add_edge(hub, arm)
         anchor = b.add_edge(hub, c.vertex)
-        new_edges.append((anchor, "fan-anchor-edge"))
         brace = b.add_edge(hub, pendant)
-        new_edges.append((brace, "fan-pendant-edge"))
         b.add_conflict(hub, (anchor, brace), ConflictKind.EXACT)
-    return _finish_pairs(b, inst, edge_map, head_map, new_vertices, new_edges)
+    return _finish_pairs(b, inst, edge_map, head_map)

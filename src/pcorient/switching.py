@@ -50,8 +50,6 @@ class NetEmission:
     forward: list[int] = field(default_factory=list)  # cell j's w -> cell j+1's u
     input_slots: list[int] = field(default_factory=list)  # u-vertex of each a_i
     outputs: list[int] = field(default_factory=list)  # b_1..b_k; b_1, b_2 at the root
-    new_vertices: list[int] = field(default_factory=list)
-    new_edges: list[int] = field(default_factory=list)
 
 
 def emit_network(b: InstanceBuilder, k: int, output_ends: Sequence[int]) -> NetEmission:
@@ -64,30 +62,20 @@ def emit_network(b: InstanceBuilder, k: int, output_ends: Sequence[int]) -> NetE
         raise InvalidInstanceError(f"switching network needs width >= 2, got {k}")
     em = NetEmission(k)
 
-    def new_vertex() -> int:
-        v = b.add_vertex(0)
-        em.new_vertices.append(v)
-        return v
-
-    def new_edge(u: int, v: int) -> int:
-        e = b.add_edge(u, v)
-        em.new_edges.append(e)
-        return e
-
     def export(w: int) -> int:
-        e = new_edge(w, output_ends[len(em.outputs)])
+        e = b.add_edge(w, output_ends[len(em.outputs)])
         em.outputs.append(e)
         return e
 
     for _ in range(k - 1):
-        u = new_vertex()
-        w = new_vertex()
-        c1 = new_edge(u, w)
-        c2 = new_edge(u, w)
+        u = b.add_vertex(0)
+        w = b.add_vertex(0)
+        c1 = b.add_edge(u, w)
+        c2 = b.add_edge(u, w)
         b.add_conflict(u, (c1, c2), ConflictKind.EXACT)
         b.add_conflict(w, (c1, c2), ConflictKind.EXACT)
         if em.cells:
-            em.forward.append(new_edge(em.cells[-1][1], u))
+            em.forward.append(b.add_edge(em.cells[-1][1], u))
         em.cells.append((u, w))
     root_w = em.cells[-1][1]
     b.add_conflict(root_w, (export(root_w), export(root_w)), ConflictKind.EXACT)

@@ -118,12 +118,12 @@ def test_criterion_4_reductions_preserve_feasibility():
         for par in parity_maps:
             orig = Instance(g, par, (), {})
             _reduction_agrees(orig, *pco_to_eo(orig))
-        for kind, mode in ((ConflictKind.EXACT, "exact"), (ConflictKind.SUBSET, "subset")):
+        for kind in (ConflictKind.EXACT, ConflictKind.SUBSET):
             for config in conflict_menu(g, kind):
                 orig = Instance(g, even_parity(4), config, {})
                 norm = normalize(orig)
                 assert norm is not None  # no contradictory singletons in the menu
-                reduced, rmap = pco_to_eo(norm, conflict_mode=mode)
+                reduced, rmap = pco_to_eo(norm)
                 assert (decide_feasible(orig) is not None) == (
                     decide_feasible(reduced) is not None
                 ), orig

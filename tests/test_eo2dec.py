@@ -35,6 +35,7 @@ from util import (
     cycle_edges,
     even_parity,
     exact,
+    gadget_parts,
     inst,
     multigraphs_4v,
     path_edges,
@@ -492,7 +493,8 @@ def test_solve_pco_dsc_reduces_once_and_leaves_free_vertices_free(monkeypatch):
     assert [v for v in range(red.graph.vertex_count) if v not in red.parity] == [2, 4]
     want, rmap = eo_dsc_to_eo_2dec(i)
     assert red == want
-    assert all(t.startswith("fan-") for _, t in rmap.new_vertices)
+    # Every gadget vertex belongs to a fan: a hub, an arm per member and a pendant.
+    assert len(gadget_parts(i, red, rmap).vertices) == sum(c.size + 2 for c in i.conflicts)
 
 
 @pytest.mark.parametrize(

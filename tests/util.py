@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from random import Random
@@ -29,6 +30,7 @@ from pcorient.core import (
 )
 from pcorient.fpt import _choices, _merge
 from pcorient.matching import Matching, Round, RoundGraph, _Matcher
+from pcorient.reductions import ReductionMap
 
 
 def inst(
@@ -239,6 +241,54 @@ def round_graph(n: int, links, rounds=None) -> RoundGraph:
         joins.setdefault(u, []).append(v)
         joins.setdefault(v, []).append(u)
     return RoundGraph(n, tuple(Round(nodes, list(j.items())) for nodes, j in zip(rounds, grow)))
+
+
+# --- gadget parts -----------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class GadgetParts:
+    vertices: tuple[int, ...]  # every vertex the reduction added
+    edges: tuple[int, ...]  # every edge no original edge maps to
+    inner: dict[int, int]  # network host -> its path-inner vertex
+    links: tuple[int, ...]  # new edges joining a host to its inner vertex
+    outputs: tuple[int, ...]  # network outputs: new edges with one end at a host or inner vertex
+    arms: dict[tuple[int, int], int]  # (member, subset conflict vertex) -> fan arm
+
+
+def gadget_parts(orig: Instance, red: Instance, rmap: ReductionMap) -> GadgetParts:
+    """Locate a reduction's gadget parts from its documented construction order.
+
+    Every reduction keeps the original vertex ids, so the gadget vertices
+    are the ids from ``n`` on. ``pco_dec_to_eo_2dec`` adds the inner
+    vertices first, so a host's inner vertex is ``n`` plus its rank
+    among the sorted hosts (vertices of an exact conflict of three or
+    more edges). ``eo_dsc_to_eo_2dec`` re-attaches each member's end at
+    its subset conflict's vertex to an arm, which ``head_map`` names.
+    """
+    n = orig.graph.vertex_count
+    rg = red.graph
+    new_edges = tuple(sorted(set(range(rg.edge_count)) - set(rmap.edge_map)))
+    hosts = sorted({c.vertex for c in orig.conflicts if c.kind is ConflictKind.EXACT and c.size >= 3})
+    inner = {v: n + rank for rank, v in enumerate(hosts)}
+    path = set(inner) | set(inner.values())
+    at_path = [(e, sum(w in path for w in rg.endpoints(e))) for e in new_edges]
+    arms = {
+        (e, c.vertex): ra
+        for c in orig.conflicts
+        if c.kind is ConflictKind.SUBSET
+        for e in c.edges
+        for ra, oa in rmap.head_map[e]
+        if oa == c.vertex
+    }
+    return GadgetParts(
+        vertices=tuple(range(n, rg.vertex_count)),
+        edges=new_edges,
+        inner=inner,
+        links=tuple(e for e, k in at_path if k == 2),
+        outputs=tuple(e for e, k in at_path if k == 1),
+        arms=arms,
+    )
 
 
 # --- brute-force baselines --------------------------------------------------
