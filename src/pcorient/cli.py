@@ -168,6 +168,12 @@ def cmd_export_dot(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _edge_budget(text: str) -> int:
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"expected a count of edges, 0 or more, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pcorient",
@@ -193,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="brute-force feasibility, best parity count, min odd vertices")
     p.add_argument("instance")
-    p.add_argument("--max-edges", type=int, default=20, help="enumeration budget (default 20)")
+    p.add_argument("--max-edges", type=_edge_budget, default=20, help="enumeration budget (default 20)")
     p.add_argument("--decision", action="store_true",
                    help="feasibility only, by backtracking; no budget, no best counts")
     p.add_argument("-o", "--output", help="write the witness orientation here")

@@ -1,15 +1,22 @@
-"""Ground-truth brute force: orientation sweeps and a 1-in-3-SAT decider.
+"""Ground-truth brute force: one backtracking search over orientations,
+and a 1-in-3-SAT decider.
 
-``enumerate_best`` walks all orientations of an instance and reports the
-aggregates every other module tests against. It is one bitmask sweep,
-vectorized with numpy over chunks of orientations; the tests hold it to a
-plain per-orientation loop kept beside them as the reference, witness
-included. ``decide_feasible`` is a complete backtracking search for the
-instances whose orientation space is too large to sweep flat.
+``enumerate_best`` and ``iter_feasible`` share one depth-first search
+over the free edges in binary-counter order: the last free edge is
+decided first, its lower end before its upper end (bit 1 of the counter
+points an edge at its larger endpoint). A vertex's parity and its exact
+conflicts are checked once its last free edge is decided, a subset
+conflict once its last free member is. Conflicts are always hard.
 
-numpy is imported inside ``enumerate_best``, its only user, so importing
-the package or solving through any route does not load it: numpy's
-import costs more time and memory than a small solve.
+The decision search (``iter_feasible``, ``decide_feasible``) treats
+parity as hard too. The sweep (``enumerate_best``) scores it instead, and
+cuts a subtree that can neither beat the best satisfied count (the count
+so far plus the constrained vertices still open is no more than the best)
+nor lower the fewest odd vertices (the closed vertices already hold that
+many). A tie never replaces the witness, so the witness is the first
+orientation in counter order that reaches the best count; the tests hold
+the sweep to a plain per-orientation loop kept beside them, witness
+included.
 """
 
 from __future__ import annotations
@@ -20,8 +27,6 @@ from .core import ConflictKind, Instance, Orientation, require_valid
 from .errors import InvalidInstanceError, OracleLimitError
 from .sat import SatInstance, validate_formula
 
-_CHUNK_BITS = 22
-
 
 @dataclass(frozen=True)
 class OracleResult:
@@ -29,8 +34,8 @@ class OracleResult:
 
     All three optional fields are None exactly when no orientation avoids
     every conflict (possible once conflicts overlap or forcings bite).
-    The witness is the first conflict-free orientation, in the fixed
-    enumeration order, that attains ``best_satisfied_parities``.
+    The witness is the first conflict-free orientation, in binary-counter
+    order, that attains ``best_satisfied_parities``.
     """
 
     feasible: bool
@@ -39,189 +44,127 @@ class OracleResult:
     witness: Orientation | None
 
 
-def enumerate_best(inst: Instance, max_edges: int = 20) -> OracleResult:
-    """Sweep all orientations respecting forced edges; no pruning anywhere.
+def _search(inst: Instance, bound: list[int]):
+    """Depth-first over the free edges of a valid instance, in counter order.
 
-    Orientations are enumerated in binary-counter order over free-edge
-    bits (bit 1 points an edge at its larger endpoint), so witnesses are
-    reproducible. Refuses instances with more than ``max_edges`` edges,
-    and with more than 64 free edges, one per bit of a ``uint64``.
-    Raises InvalidInstanceError on a malformed instance.
+    Yields ``(heads, sat, odd)`` at each conflict-free orientation that no
+    cut removes: the live head list (copy it to keep it), the number of
+    satisfied parities and the number of odd vertices. ``bound`` is
+    ``[best, min_odd]``. It is read at every node, so the caller may raise
+    or lower it between leaves: a subtree is cut once its satisfied count
+    so far plus its constrained vertices still open is at most ``best``
+    and its closed odd vertices number at least ``min_odd``.
     """
-    import numpy as np
-
-    require_valid(inst)
     g = inst.graph
     n, m = g.vertex_count, g.edge_count
-    if m > max_edges:
-        raise OracleLimitError(f"instance has {m} edges, oracle budget is {max_edges}")
-    free = [e for e in range(m) if e not in inst.forced]
-    if len(free) > 64:
-        raise OracleLimitError(f"instance has {len(free)} free edges, the sweep packs at most 64")
-    bit_of = {e: j for j, e in enumerate(free)}
-    hi_mask = [0] * n
-    lo_mask = [0] * n
-    forced_in = [0] * n
-    for e in free:
-        lo, hi = g.edges[e]
-        hi_mask[hi] |= 1 << bit_of[e]
-        lo_mask[lo] |= 1 << bit_of[e]
-    for h in inst.forced.values():
-        forced_in[h] += 1
-
-    # Conflicts reduce to bitmask tests on the free incoming set, or drop
-    # out entirely when the forced part already decides them.
-    checks: list[tuple[int, int, bool]] = []  # (vertex, free-member mask, exact?)
-    impossible = False
-    for c in inst.conflicts:
-        v = c.vertex
-        if any(inst.forced.get(e, v) != v for e in c.edges if e in inst.forced):
-            continue  # a member can never come in
-        cmask = 0
-        for e in c.edges:
-            if e in bit_of:
-                cmask |= 1 << bit_of[e]
-        if c.kind is ConflictKind.EXACT:
-            if any(inst.forced.get(e) == v for e in g.incident(v) if e not in c.edges):
-                continue  # incoming always exceeds the set
-            checks.append((v, cmask, True))
-        else:
-            if cmask == 0:
-                impossible = True  # whole set forced in
-                break
-            checks.append((v, cmask, False))
-    if impossible:
-        return OracleResult(False, None, None, None)
-
-    total = 1 << len(free)
-    best_sat = -1
-    best_idx = -1
-    min_odd: int | None = None
-    conflict_vs = {v for v, _, _ in checks}
-    for start in range(0, total, 1 << _CHUNK_BITS):
-        stop = min(start + (1 << _CHUNK_BITS), total)
-        o = np.arange(start, stop, dtype=np.uint64)
-        incoming: dict[int, np.ndarray] = {}
-        odd = np.zeros(o.shape, dtype=np.int16)
-        sat = np.zeros(o.shape, dtype=np.int16)
-        for v in range(n):
-            in_v = (o & np.uint64(hi_mask[v])) | (~o & np.uint64(lo_mask[v]))
-            pb = (np.bitwise_count(in_v).astype(np.int16) + forced_in[v]) & 1
-            odd += pb
-            p = inst.parity.get(v)
-            if p is not None:
-                sat += pb == p
-            if v in conflict_vs:
-                incoming[v] = in_v
-        valid = np.ones(o.shape, dtype=bool)
-        for v, cmask, exact in checks:
-            cm = np.uint64(cmask)
-            if exact:
-                valid &= incoming[v] != cm
-            else:
-                valid &= (incoming[v] & cm) != cm
-        if not valid.any():
-            continue
-        sat_valid = np.where(valid, sat, np.int16(-1))
-        chunk_best = int(sat_valid.max())
-        if chunk_best > best_sat:
-            best_sat = chunk_best
-            best_idx = start + int(np.argmax(sat_valid == chunk_best))
-        chunk_min = int(odd[valid].min())
-        if min_odd is None or chunk_min < min_odd:
-            min_odd = chunk_min
-    if best_idx < 0:
-        return OracleResult(False, None, None, None)
-    heads = [0] * m
+    steps = [(e, *g.edges[e]) for e in range(m - 1, -1, -1) if e not in inst.forced]
+    depth_of = {e: j for j, (e, _, _) in enumerate(steps, 1)}  # node that decides e
+    heads = [-1] * m
+    indeg = [0] * n
     for e, h in inst.forced.items():
         heads[e] = h
-    for j, e in enumerate(free):
-        lo, hi = g.edges[e]
-        heads[e] = hi if (best_idx >> j) & 1 else lo
-    witness = Orientation(tuple(heads))
-    return OracleResult(best_sat == len(inst.parity), best_sat, min_odd, witness)
+        indeg[h] += 1
+    # Checks each node runs; node j has the first j steps decided, node 0
+    # only the forced edges.
+    closing: list[list] = [[] for _ in range(len(steps) + 1)]
+    subsets: list[list] = [[] for _ in range(len(steps) + 1)]
+    exact: dict[int, list] = {}
+    for c in inst.conflicts:
+        if c.kind is ConflictKind.EXACT:
+            exact.setdefault(c.vertex, []).append((len(c.edges), tuple(c.edges)))
+        else:
+            subsets[max(depth_of.get(e, 0) for e in c.edges)].append((c.vertex, tuple(c.edges)))
+    for v in range(n):
+        last = max((depth_of.get(e, 0) for e in g.incident(v)), default=0)
+        closing[last].append((v, inst.parity.get(v, -1), exact.get(v, ())))
+
+    saved: list[tuple[int, int, int]] = []  # (sat, odd, open) at each node above this one
+    sat, odd, still_open = 0, 0, len(inst.parity)
+    j = 0
+    while True:
+        ok = True
+        for v, p, at_v in closing[j]:
+            d = indeg[v]
+            odd += d & 1
+            if p >= 0:
+                still_open -= 1
+                sat += (d & 1) == p
+            for size, cedges in at_v:
+                if d == size and all(heads[e] == v for e in cedges):
+                    ok = False
+        for v, cedges in subsets[j]:
+            if all(heads[e] == v for e in cedges):
+                ok = False
+        if ok and (sat + still_open > bound[0] or odd < bound[1]):
+            if j < len(steps):
+                saved.append((sat, odd, still_open))
+                e, lo, _ = steps[j]
+                heads[e] = lo
+                indeg[lo] += 1
+                j += 1
+                continue
+            yield heads, sat, odd
+        # Move to the next sibling, backing out of every exhausted step.
+        while j:
+            e, lo, hi = steps[j - 1]
+            indeg[heads[e]] -= 1
+            if heads[e] == lo:
+                heads[e] = hi
+                indeg[hi] += 1
+                sat, odd, still_open = saved[-1]
+                break
+            heads[e] = -1
+            saved.pop()
+            j -= 1
+        else:
+            return
+
+
+def enumerate_best(inst: Instance, max_edges: int = 20) -> OracleResult:
+    """Best parity count and fewest odd vertices over all conflict-free
+    orientations respecting forced edges, with a witness.
+
+    The witness is the first orientation, in binary-counter order over the
+    free edges, that reaches the best count, so it is reproducible.
+    Refuses instances with more than ``max_edges`` edges. Raises
+    InvalidInstanceError on a malformed instance.
+    """
+    require_valid(inst)
+    g = inst.graph
+    if g.edge_count > max_edges:
+        raise OracleLimitError(f"instance has {g.edge_count} edges, oracle budget is {max_edges}")
+    bound = [-1, g.vertex_count + 1]
+    witness: Orientation | None = None
+    for heads, sat, odd in _search(inst, bound):
+        if sat > bound[0]:
+            bound[0] = sat
+            witness = Orientation(tuple(heads))
+        bound[1] = min(bound[1], odd)
+    if witness is None:
+        return OracleResult(False, None, None, None)
+    return OracleResult(bound[0] == len(inst.parity), bound[0], bound[1], witness)
 
 
 def iter_feasible(inst: Instance):
-    """Yield every conflict-free all-parities orientation, by backtracking.
+    """Yield every conflict-free all-parities orientation, in counter order.
 
-    Edges are decided in vertex-id blocks, so every vertex has a position
-    at which its incoming set is final; parity and exact conflicts are
-    checked there, subset conflicts as soon as their last member is
-    decided. Exponential in the worst case but exact, and fast on the
-    gadget-heavy instances the flat sweep cannot reach. Raises
-    InvalidInstanceError on a malformed instance, at the first step.
+    The sweep's search with its bound pinned: a best of one less than the
+    number of parities cuts a subtree at the first closed vertex whose
+    parity fails, and a fewest-odd of 0 never keeps one alive. Exact, with
+    no edge budget, and exponential in the worst case: a vertex is checked
+    only once its lowest-numbered free edge is decided, so instances that
+    number the edges of a long chain first (the hardness constructions'
+    spines) are cut late. Raises InvalidInstanceError on a malformed
+    instance, at the first step.
     """
     require_valid(inst)
-    g = inst.graph
-    n, m = g.vertex_count, g.edge_count
-    for v, p in inst.parity.items():
-        if g.degree(v) == 0 and p != 0:
-            return
-
-    order: list[int] = []
-    placed = [False] * m
-    for v in range(n):
-        for e in g.incident(v):
-            if not placed[e]:
-                placed[e] = True
-                order.append(e)
-    pos_of = {e: i for i, e in enumerate(order)}
-    vertex_checks: list[list[int]] = [[] for _ in range(m)]
-    for v in range(n):
-        if g.degree(v):
-            vertex_checks[max(pos_of[e] for e in g.incident(v))].append(v)
-    subset_checks: list[list[int]] = [[] for _ in range(m)]
-    exact_at: dict[int, list[int]] = {}
-    for ci, c in enumerate(inst.conflicts):
-        if c.kind is ConflictKind.SUBSET:
-            subset_checks[max(pos_of[e] for e in c.edges)].append(ci)
-        else:
-            exact_at.setdefault(c.vertex, []).append(ci)
-
-    heads = [-1] * m
-    indeg = [0] * n
-    conflicts = inst.conflicts
-    parity = inst.parity
-
-    def consistent(i: int) -> bool:
-        for ci in subset_checks[i]:
-            c = conflicts[ci]
-            if all(heads[e] == c.vertex for e in c.edges):
-                return False
-        for v in vertex_checks[i]:
-            p = parity.get(v)
-            if p is not None and indeg[v] % 2 != p:
-                return False
-            for ci in exact_at.get(v, ()):
-                c = conflicts[ci]
-                if indeg[v] == c.size and all(heads[e] == v for e in c.edges):
-                    return False
-        return True
-
-    def dfs(i: int):
-        if i == m:
-            yield Orientation(tuple(heads))
-            return
-        e = order[i]
-        lo, hi = g.edges[e]
-        forced = inst.forced.get(e)
-        for h in (lo, hi) if forced is None else (forced,):
-            heads[e] = h
-            indeg[h] += 1
-            if consistent(i):
-                yield from dfs(i + 1)
-            indeg[h] -= 1
-            heads[e] = -1
-
-    try:
-        yield from dfs(0)
-    finally:
-        del dfs  # it holds itself through its closure; the cycle would outlive the search
+    for heads, _, _ in _search(inst, [len(inst.parity) - 1, 0]):
+        yield Orientation(tuple(heads))
 
 
 def decide_feasible(inst: Instance) -> Orientation | None:
-    """First conflict-free all-parities orientation found, or None."""
+    """First conflict-free all-parities orientation in counter order, or
+    None. When there is one, it is ``enumerate_best``'s witness."""
     return next(iter_feasible(inst), None)
 
 

@@ -59,9 +59,6 @@ def files(tmp_path_factory):
     paths["bad"].write_text('{"version": 1')
     paths["out"] = tmp / "out.txt"
     paths["labels"] = tmp / "labels.json"
-    # numpy's first import leaves cyclic garbage of its own; pay it here.
-    assert cli.main(["oracle", str(paths["pco"]), "-o", str(paths["out"])]) == 0
-    gc.collect()
     return paths
 
 

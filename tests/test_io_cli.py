@@ -616,21 +616,24 @@ def test_cli_verify_of_a_user_orientation_off_the_graph_exits_2(c4_file, tmp_pat
     assert capsys.readouterr().err == "input error: head 1000000 is not an endpoint of edge 0\n"
 
 
-def test_cli_solving_loads_numpy_only_for_the_oracle_sweep(tmp_path):
-    # A fresh interpreter: this test process may have loaded numpy already.
+def test_cli_never_loads_numpy(tmp_path):
+    # A fresh interpreter in which importing numpy fails: a command that
+    # tried would exit 4, not 0.
     docs = {route: _document(tmp_path, route, i) for route, (_, i) in SELF_CHECKED.items()}
     docs["pco"] = _document(tmp_path, "pco", inst(4, cycle_edges(4), even_parity(4)))
+    docs["pco-sc-fpt"] = _document(tmp_path, "pco-sc-fpt", inst(
+        6, cycle_edges(6), even_parity(6), (subset(0, 0, 5), subset(0, 0), subset(2, 1, 2), subset(4, 3))
+    ))
+    pco = str(docs["pco"])
     script = "\n".join([
         "import sys",
-        "from pathlib import Path",
-        "import pcorient",
-        "from pcorient import cli, io",
-        "assert 'numpy' not in sys.modules, 'import pcorient'",
-        *(f"assert cli.main(['solve', {str(p)!r}, '-o', '-']) == 0" for p in docs.values()),
-        "assert 'numpy' not in sys.modules, 'solve'",
-        f"i = io.parse_instance(Path({str(docs['pco'])!r}).read_text())",
-        "assert pcorient.enumerate_best(i).best_satisfied_parities == 4",
-        "assert 'numpy' in sys.modules, 'enumerate_best'",
+        "sys.modules['numpy'] = None",
+        "from pcorient import cli",
+        *(f"assert cli.main(['solve', {str(p)!r}, '--solver', {r!r}, '-o', '-']) == 0, {r!r}"
+          for r, p in docs.items()),
+        f"assert cli.main(['oracle', {pco!r}, '-o', '-']) == 0, 'oracle'",
+        f"assert cli.main(['oracle', {pco!r}, '--decision', '-o', '-']) == 0, 'oracle --decision'",
+        "assert sys.modules['numpy'] is None",
     ])
     src = Path(__file__).resolve().parents[1] / "src"
     run = subprocess.run(
@@ -697,11 +700,22 @@ def test_cli_oracle_counts_and_exit_codes(c4_file, tmp_path, capsys):
     assert "feasible: no" in capsys.readouterr().out
 
 
-def test_cli_oracle_above_64_free_edges_is_unsupported(tmp_path, capsys):
+def test_cli_oracle_answers_more_than_64_free_edges(tmp_path, capsys):
     big = tmp_path / "big.json"
     big.write_text(io.serialize_instance(inst(66, cycle_edges(66), parity=even_parity(66))))
-    assert main(["oracle", "--max-edges", "100", str(big)]) == 3
-    assert "unsupported: instance has 66 free edges" in capsys.readouterr().err
+    assert main(["oracle", "--max-edges", "100", str(big)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "feasible: yes", "best-satisfied: 66 of 66", "min-odd-vertices: 0"
+    ]
+
+
+@pytest.mark.parametrize("budget", ["-1", "x"])
+def test_cli_oracle_rejects_a_bad_budget_as_input(c4_file, budget, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", "--max-edges", budget, str(c4_file)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--max-edges: expected a count of edges, 0 or more, got " + repr(budget) in err
 
 
 def test_cli_oracle_decision_mode(c4_file, tmp_path, capsys):

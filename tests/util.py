@@ -337,21 +337,16 @@ def brute_matching_size(node_count: int, links: list[tuple[int, int]]) -> int:
         best.cache_clear()
 
 
-def enumerate_scalar(inst: Instance) -> OracleResult:
-    """Reference for ``enumerate_best``: the same sweep, one orientation at a time.
-
-    Binary-counter order over the free edges (bit 1 points an edge at its
-    larger endpoint), conflicts tested on explicit incoming sets, and the
-    first orientation reaching the best parity count kept as witness.
-    """
+def _scalar_sweep(inst: Instance):
+    """Every conflict-free orientation, in binary-counter order over the free
+    edges (bit 1 points an edge at its larger endpoint), with its satisfied
+    parity count and its odd vertex count; conflicts are tested on explicit
+    incoming sets."""
     g = inst.graph
     free = [e for e in range(g.edge_count) if e not in inst.forced]
     heads = [0] * g.edge_count
     for e, h in inst.forced.items():
         heads[e] = h
-    best_sat = -1
-    min_odd: int | None = None
-    witness: Orientation | None = None
     for mask in range(1 << len(free)):
         for j, e in enumerate(free):
             lo, hi = g.edges[e]
@@ -372,14 +367,31 @@ def enumerate_scalar(inst: Instance) -> OracleResult:
             indeg[h] += 1
         sat = sum(1 for v, p in inst.parity.items() if indeg[v] % 2 == p)
         odd = sum(1 for d in indeg if d % 2)
+        yield Orientation(tuple(heads)), sat, odd
+
+
+def enumerate_scalar(inst: Instance) -> OracleResult:
+    """Reference for ``enumerate_best``: the same sweep, one orientation at a
+    time, keeping the first orientation that reaches the best parity count
+    as witness."""
+    best_sat = -1
+    min_odd: int | None = None
+    witness: Orientation | None = None
+    for o, sat, odd in _scalar_sweep(inst):
         if min_odd is None or odd < min_odd:
             min_odd = odd
         if sat > best_sat:
             best_sat = sat
-            witness = Orientation(tuple(heads))
+            witness = o
     if witness is None:
         return OracleResult(False, None, None, None)
     return OracleResult(best_sat == len(inst.parity), best_sat, min_odd, witness)
+
+
+def feasible_scalar(inst: Instance) -> list[Orientation]:
+    """Reference for ``iter_feasible``: every conflict-free orientation that
+    meets all parities, in binary-counter order."""
+    return [o for o, sat, _ in _scalar_sweep(inst) if sat == len(inst.parity)]
 
 
 def components_rescan(g: Multigraph) -> list[Component]:
