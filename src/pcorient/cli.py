@@ -169,9 +169,13 @@ def cmd_export_dot(args: argparse.Namespace) -> int:
 
 
 def _edge_budget(text: str) -> int:
-    if not (text.isascii() and text.isdigit()):
-        raise argparse.ArgumentTypeError(f"expected a count of edges, 0 or more, got {text!r}")
-    return int(text)
+    try:
+        n = int(text)
+        if n >= 0:
+            return n
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a count of edges, 0 or more, got {text!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:

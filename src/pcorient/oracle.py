@@ -2,21 +2,26 @@
 and a 1-in-3-SAT decider.
 
 ``enumerate_best`` and ``iter_feasible`` share one depth-first search
-over the free edges in binary-counter order: the last free edge is
-decided first, its lower end before its upper end (bit 1 of the counter
-points an edge at its larger endpoint). A vertex's parity and its exact
-conflicts are checked once its last free edge is decided, a subset
-conflict once its last free member is. Conflicts are always hard.
+over the free edges, each deciding an edge's lower end before its upper
+end, in an edge order the entry point picks. A vertex's parity and its
+exact conflicts are checked once its last free edge in that order is
+decided, a subset conflict once its last free member is. Conflicts are
+always hard.
+
+The sweep (``enumerate_best``) decides in binary-counter order, the last
+free edge first (bit 1 of the counter points an edge at its larger
+endpoint). It scores parity, and cuts a subtree that can neither beat the
+best satisfied count (the count so far plus the constrained vertices
+still open is no more than the best) nor lower the fewest odd vertices
+(the closed vertices already hold that many). A tie never replaces the
+witness, so the witness is the first orientation in counter order that
+reaches the best count; the tests hold the sweep to a plain
+per-orientation loop kept beside them, witness included.
 
 The decision search (``iter_feasible``, ``decide_feasible``) treats
-parity as hard too. The sweep (``enumerate_best``) scores it instead, and
-cuts a subtree that can neither beat the best satisfied count (the count
-so far plus the constrained vertices still open is no more than the best)
-nor lower the fewest odd vertices (the closed vertices already hold that
-many). A tie never replaces the witness, so the witness is the first
-orientation in counter order that reaches the best count; the tests hold
-the sweep to a plain per-orientation loop kept beside them, witness
-included.
+parity as hard and decides in vertex-id blocks (vertex 0's edges, then
+vertex 1's remaining ones, and so on), so each vertex is checked as soon
+as the search has passed its block.
 """
 
 from __future__ import annotations
@@ -44,8 +49,9 @@ class OracleResult:
     witness: Orientation | None
 
 
-def _search(inst: Instance, bound: list[int]):
-    """Depth-first over the free edges of a valid instance, in counter order.
+def _search(inst: Instance, order: list[int], bound: list[int]):
+    """Depth-first over the free edges of a valid instance, deciding them in
+    ``order``, the lower end first.
 
     Yields ``(heads, sat, odd)`` at each conflict-free orientation that no
     cut removes: the live head list (copy it to keep it), the number of
@@ -57,7 +63,7 @@ def _search(inst: Instance, bound: list[int]):
     """
     g = inst.graph
     n, m = g.vertex_count, g.edge_count
-    steps = [(e, *g.edges[e]) for e in range(m - 1, -1, -1) if e not in inst.forced]
+    steps = [(e, *g.edges[e]) for e in order]
     depth_of = {e: j for j, (e, _, _) in enumerate(steps, 1)}  # node that decides e
     heads = [-1] * m
     indeg = [0] * n
@@ -133,9 +139,10 @@ def enumerate_best(inst: Instance, max_edges: int = 20) -> OracleResult:
     g = inst.graph
     if g.edge_count > max_edges:
         raise OracleLimitError(f"instance has {g.edge_count} edges, oracle budget is {max_edges}")
+    counter = [e for e in range(g.edge_count - 1, -1, -1) if e not in inst.forced]
     bound = [-1, g.vertex_count + 1]
     witness: Orientation | None = None
-    for heads, sat, odd in _search(inst, bound):
+    for heads, sat, odd in _search(inst, counter, bound):
         if sat > bound[0]:
             bound[0] = sat
             witness = Orientation(tuple(heads))
@@ -146,25 +153,28 @@ def enumerate_best(inst: Instance, max_edges: int = 20) -> OracleResult:
 
 
 def iter_feasible(inst: Instance):
-    """Yield every conflict-free all-parities orientation, in counter order.
+    """Yield every conflict-free all-parities orientation, by backtracking.
 
-    The sweep's search with its bound pinned: a best of one less than the
-    number of parities cuts a subtree at the first closed vertex whose
-    parity fails, and a fewest-odd of 0 never keeps one alive. Exact, with
-    no edge budget, and exponential in the worst case: a vertex is checked
-    only once its lowest-numbered free edge is decided, so instances that
-    number the edges of a long chain first (the hardness constructions'
-    spines) are cut late. Raises InvalidInstanceError on a malformed
-    instance, at the first step.
+    Free edges are decided in vertex-id blocks, so every vertex closes at
+    the end of its block: the sweep's search with its bound pinned, where
+    a best of one less than the number of parities cuts a subtree at the
+    first closed vertex whose parity fails, and a fewest-odd of 0 never
+    keeps one alive. Exponential in the worst case but exact, with no edge
+    budget, and fast on the gadget-heavy instances the sweep cannot reach.
+    Raises InvalidInstanceError on a malformed instance, at the first step.
     """
     require_valid(inst)
-    for heads, _, _ in _search(inst, [len(inst.parity) - 1, 0]):
+    g = inst.graph
+    blocks = dict.fromkeys(
+        e for v in range(g.vertex_count) for e in g.incident(v) if e not in inst.forced
+    )
+    for heads, _, _ in _search(inst, list(blocks), [len(inst.parity) - 1, 0]):
         yield Orientation(tuple(heads))
 
 
 def decide_feasible(inst: Instance) -> Orientation | None:
-    """First conflict-free all-parities orientation in counter order, or
-    None. When there is one, it is ``enumerate_best``'s witness."""
+    """First conflict-free all-parities orientation in vertex-block order,
+    or None."""
     return next(iter_feasible(inst), None)
 
 

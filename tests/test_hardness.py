@@ -135,6 +135,23 @@ def test_sc_double_oracle_spot_checks():
         assert sat_oracle(f) == (decide_feasible(art.instance) is not None), f
 
 
+@pytest.mark.parametrize("reduce", [reduce_to_pco_2ec, reduce_to_pco_2sc])
+def test_decision_search_answers_five_and_six_clause_formulas(reduce):
+    # Both constructions number their spine edges first; a search that
+    # checked spine vertices only once those edges were decided would run
+    # for minutes here, where the vertex-block order takes milliseconds.
+    five = (clause(1, 2, 3), clause(-1, 2, 4), clause(3, 4, 5), clause(-2, -3, -5), clause(1, -4, 5))
+    for f in (
+        SatInstance(5, five),
+        SatInstance(5, five + (clause(-1, 3, -5),)),
+        SatInstance(6, (clause(1, 2, 3), clause(4, 5, 6), clause(-1, -4, 2), clause(3, 5, -6),
+                        clause(1, 5, 6))),
+        SatInstance(6, (clause(1, 2, 3), clause(4, 5, 6), clause(-1, -4, 2))),
+    ):
+        art = reduce(f)
+        assert sat_oracle(f) == (decide_feasible(art.instance) is not None), f
+
+
 def test_generators_are_deterministic():
     a = reduce_to_pco_2ec(F1)
     b = reduce_to_pco_2ec(F1)

@@ -718,6 +718,11 @@ def test_cli_oracle_rejects_a_bad_budget_as_input(c4_file, budget, capsys):
     assert "--max-edges: expected a count of edges, 0 or more, got " + repr(budget) in err
 
 
+@pytest.mark.parametrize("budget", ["+5", " 20", "0"])
+def test_cli_oracle_budget_reads_as_int_does(c4_file, budget, capsys):
+    assert main(["oracle", "--max-edges", budget, str(c4_file)]) == (3 if budget == "0" else 0)
+
+
 def test_cli_oracle_decision_mode(c4_file, tmp_path, capsys):
     out = tmp_path / "w.txt"
     assert main(["oracle", str(c4_file), "--decision", "-o", str(out)]) == 0

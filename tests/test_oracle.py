@@ -139,7 +139,6 @@ def test_sweep_agrees_with_scalar_reference():
 
 
 def test_backtracking_agrees_with_flat_enumeration():
-    # One search order: the first feasible orientation is the sweep's witness.
     rng = Random(909)
     for _ in range(200):
         g = rand_graph(rng, nmax=6, mmax=10)
@@ -154,7 +153,6 @@ def test_backtracking_agrees_with_flat_enumeration():
         assert flat.feasible == (witness is not None)
         if witness is not None:
             assert verify(i, witness).ok
-            assert witness == flat.witness
 
 
 def test_iter_feasible_yields_exactly_the_scalar_solutions():
@@ -167,7 +165,8 @@ def test_iter_feasible_yields_exactly_the_scalar_solutions():
             rand_conflicts(rng, g, None),
             rand_forced(rng, g, 0.2),
         )
-        assert list(iter_feasible(i)) == feasible_scalar(i), i
+        found = sorted(o.heads for o in iter_feasible(i))
+        assert found == sorted(o.heads for o in feasible_scalar(i)), i
 
 
 def test_iter_feasible_yields_each_solution_once():
